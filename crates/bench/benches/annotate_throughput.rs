@@ -40,8 +40,8 @@ use criterion::Criterion;
 use ism_bench::positioning_batch;
 use ism_c2mn::{
     invalidate_events_after_region_sweep, invalidate_regions_after_event_sweep, sequence_seed,
-    BatchAnnotator, C2mn, CoupledNetwork, DecodeScratch, EventSites, RegionSites, SequenceContext,
-    Trainer,
+    BatchAnnotator, C2mn, CoupledNetwork, DecodeScratch, EventSites, RegionSites, RunIndex,
+    SequenceContext, Trainer,
 };
 use ism_engine::{log_path, EngineBuilder, SemanticsEngine};
 use ism_indoor::{BuildingGenerator, IndoorSpace};
@@ -467,16 +467,12 @@ fn final_temps_reuse(model: &C2mn<'_>, sequences: &[Vec<PositioningRecord>]) -> 
         let mut events = ctx.dbscan_events.clone();
         let mut region_cache = SweepCache::new();
         let mut event_cache = SweepCache::new();
+        let mut event_runs = RunIndex::new();
+        let mut region_runs = RunIndex::new();
         {
-            let rs = RegionSites {
-                net: &net,
-                events: &events,
-            };
+            let rs = RegionSites::new(&net, &events, &mut event_runs);
             region_cache.reset(&rs);
-            let es = EventSites {
-                net: &net,
-                regions: &regions,
-            };
+            let es = EventSites::new(&net, &regions, &mut region_runs);
             event_cache.reset(&es);
         }
         let schedule = AnnealSchedule {
@@ -491,10 +487,7 @@ fn final_temps_reuse(model: &C2mn<'_>, sequences: &[Vec<PositioningRecord>]) -> 
             prev_regions.clear();
             prev_regions.extend_from_slice(&regions);
             {
-                let rs = RegionSites {
-                    net: &net,
-                    events: &events,
-                };
+                let rs = RegionSites::new(&net, &events, &mut event_runs);
                 gibbs_sweep_cached(&rs, &mut region_state, t, &mut rng, &mut region_cache);
             }
             for i in 0..n {
@@ -512,10 +505,7 @@ fn final_temps_reuse(model: &C2mn<'_>, sequences: &[Vec<PositioningRecord>]) -> 
             prev_events.clear();
             prev_events.extend_from_slice(&events);
             {
-                let es = EventSites {
-                    net: &net,
-                    regions: &regions,
-                };
+                let es = EventSites::new(&net, &regions, &mut region_runs);
                 gibbs_sweep_cached(&es, &mut event_state, t, &mut rng, &mut event_cache);
             }
             for i in 0..n {
@@ -538,10 +528,7 @@ fn final_temps_reuse(model: &C2mn<'_>, sequences: &[Vec<PositioningRecord>]) -> 
             prev_regions.clear();
             prev_regions.extend_from_slice(&regions);
             let changed_r = {
-                let rs = RegionSites {
-                    net: &net,
-                    events: &events,
-                };
+                let rs = RegionSites::new(&net, &events, &mut event_runs);
                 icm_sweep_cached(&rs, &mut region_state, &mut region_cache)
             };
             for i in 0..n {
@@ -559,10 +546,7 @@ fn final_temps_reuse(model: &C2mn<'_>, sequences: &[Vec<PositioningRecord>]) -> 
             prev_events.clear();
             prev_events.extend_from_slice(&events);
             let changed_e = {
-                let es = EventSites {
-                    net: &net,
-                    regions: &regions,
-                };
+                let es = EventSites::new(&net, &regions, &mut region_runs);
                 icm_sweep_cached(&es, &mut event_state, &mut event_cache)
             };
             for i in 0..n {

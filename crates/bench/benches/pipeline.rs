@@ -3,7 +3,7 @@
 //! ~100-record sequence), one training step, and the top-k queries.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ism_c2mn::{C2mn, C2mnConfig, CoupledNetwork, RegionSites, SequenceContext, Weights};
+use ism_c2mn::{C2mn, C2mnConfig, CoupledNetwork, RegionSites, RunIndex, SequenceContext, Weights};
 use ism_indoor::BuildingGenerator;
 use ism_mobility::{
     Dataset, MobilityEvent, PositioningConfig, PositioningRecord, SimulationConfig, TimePeriod,
@@ -37,10 +37,8 @@ fn bench_gibbs(c: &mut Criterion) {
     let weights = Weights::uniform(1.0);
     let net = CoupledNetwork::new(&ctx, &weights);
     let events = vec![MobilityEvent::Stay; ctx.len()];
-    let rs = RegionSites {
-        net: &net,
-        events: &events,
-    };
+    let mut runs = RunIndex::new();
+    let rs = RegionSites::new(&net, &events, &mut runs);
     c.bench_function("pipeline/gibbs_region_sweep_100", |b| {
         let mut rng = StdRng::seed_from_u64(2);
         let mut state = ctx.nearest_idx.clone();

@@ -87,11 +87,9 @@ impl SequenceContext<'_> {
         R: Fn(usize) -> RegionId,
     {
         debug_assert!(b >= a && b < self.len());
-        let len = (b - a + 1) as f64;
-        // Distinct region count via a stack-buffered scan: this is the
-        // hottest feature call on the decode path, so no heap allocation.
-        // Runs rarely carry more than a handful of distinct labels; the
-        // (exact) overflow fallback rescans first occurrences.
+        // Distinct region count via a stack-buffered scan, no heap
+        // allocation. Runs rarely carry more than a handful of distinct
+        // labels; the (exact) overflow fallback rescans first occurrences.
         let mut seen = [region_at(a); 16];
         let mut count = 0usize;
         'records: for k in a..=b {
@@ -109,7 +107,22 @@ impl SequenceContext<'_> {
             }
             count += 1;
         }
-        let distnum = count as f64 / len;
+        self.fes_counted(a, b, count, event)
+    }
+
+    /// [`fes`](Self::fes) over `a..=b` from its number of distinct region
+    /// labels. The decode rows count those through a run index instead of
+    /// a label walk and then evaluate this same expression, so both paths
+    /// agree bit for bit.
+    pub(crate) fn fes_counted(
+        &self,
+        a: usize,
+        b: usize,
+        distinct: usize,
+        event: MobilityEvent,
+    ) -> [f64; 3] {
+        let len = (b - a + 1) as f64;
+        let distnum = distinct as f64 / len;
         let speed = if b > a {
             let dt = (self.records[b].t - self.records[a].t).max(1e-6);
             (self.path_length(a, b) / dt / self.config.speed_norm).min(1.0)
@@ -141,9 +154,22 @@ impl SequenceContext<'_> {
             }
             prev = e;
         }
+        self.fss_counted(a, b, transitions, event_at(a), event_at(b))
+    }
+
+    /// [`fss`](Self::fss) over `a..=b` from its number of event-label
+    /// changes and its boundary labels (see [`fes_counted`](Self::fes_counted)).
+    pub(crate) fn fss_counted(
+        &self,
+        a: usize,
+        b: usize,
+        transitions: u32,
+        first: MobilityEvent,
+        last: MobilityEvent,
+    ) -> [f64; 3] {
         let runs = transitions as f64 + 1.0;
         let dt = (self.records[b].t - self.records[a].t) + 1.0;
-        let boundary = 0.5 * (event_at(a).pass_indicator() + event_at(b).pass_indicator());
+        let boundary = 0.5 * (first.pass_indicator() + last.pass_indicator());
         [-runs / dt, -(transitions as f64) / dt, boundary]
     }
 }

@@ -63,7 +63,7 @@ pub use error::TrainError;
 pub use model::{C2mn, DecodeScratch};
 pub use network::{
     invalidate_events_after_region_sweep, invalidate_regions_after_event_sweep, CoupledNetwork,
-    EventSites, RegionSites,
+    EventSites, RegionSites, RunIndex,
 };
 pub use persist::ModelSnapshot;
 pub use sample::train_seed;

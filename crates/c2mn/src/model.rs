@@ -2,8 +2,8 @@
 
 use crate::network::{invalidate_events_after_region_sweep, invalidate_regions_after_event_sweep};
 use crate::{
-    C2mnConfig, CoupledNetwork, EventSites, RegionSites, SequenceContext, TrainError, TrainReport,
-    Trainer, Weights,
+    C2mnConfig, CoupledNetwork, EventSites, RegionSites, RunIndex, SequenceContext, TrainError,
+    TrainReport, Trainer, Weights,
 };
 use ism_indoor::{IndoorSpace, RegionId};
 use ism_mobility::{
@@ -16,7 +16,8 @@ use ism_pgm::{
 use rand::Rng;
 
 /// Reusable decode buffers: the per-sequence state vectors, the memoized
-/// per-site candidate rows of both chains, and the label snapshots used for
+/// per-site candidate rows of both chains, the run indexes of the chain
+/// each half-sweep holds fixed, and the label snapshots used for
 /// cross-chain invalidation.
 ///
 /// [`C2mn::label`] runs dozens of sweeps per sequence; batch workloads
@@ -34,6 +35,10 @@ pub struct DecodeScratch {
     sweep: SweepScratch,
     region_cache: SweepCache,
     event_cache: SweepCache,
+    /// Runs of the event chain, rebuilt for every region half-sweep.
+    event_runs: RunIndex,
+    /// Runs of the region chain, rebuilt for every event half-sweep.
+    region_runs: RunIndex,
     prev_regions: Vec<RegionId>,
     prev_events: Vec<MobilityEvent>,
 }
@@ -188,6 +193,8 @@ impl<'a> C2mn<'a> {
             sweep: _,
             region_cache,
             event_cache,
+            event_runs,
+            region_runs,
             prev_regions,
             prev_events,
         } = scratch;
@@ -205,15 +212,9 @@ impl<'a> C2mn<'a> {
         events.clear();
         events.extend_from_slice(&ctx.dbscan_events);
         {
-            let rs = RegionSites {
-                net: &net,
-                events: events.as_slice(),
-            };
+            let rs = RegionSites::new(&net, events, event_runs);
             region_cache.reset(&rs);
-            let es = EventSites {
-                net: &net,
-                regions: regions.as_slice(),
-            };
+            let es = EventSites::new(&net, regions, region_runs);
             event_cache.reset(&es);
         }
 
@@ -231,10 +232,7 @@ impl<'a> C2mn<'a> {
                 prev_regions.extend_from_slice(regions);
             }
             {
-                let rs = RegionSites {
-                    net: &net,
-                    events: events.as_slice(),
-                };
+                let rs = RegionSites::new(&net, events, event_runs);
                 gibbs_sweep_cached(&rs, region_state, t, rng, region_cache);
             }
             for i in 0..n {
@@ -252,10 +250,7 @@ impl<'a> C2mn<'a> {
                 prev_events.extend_from_slice(events);
             }
             {
-                let es = EventSites {
-                    net: &net,
-                    regions: regions.as_slice(),
-                };
+                let es = EventSites::new(&net, regions, region_runs);
                 gibbs_sweep_cached(&es, event_state, t, rng, event_cache);
             }
             for i in 0..n {
@@ -279,10 +274,7 @@ impl<'a> C2mn<'a> {
                 prev_regions.extend_from_slice(regions);
             }
             let changed_r = {
-                let rs = RegionSites {
-                    net: &net,
-                    events: events.as_slice(),
-                };
+                let rs = RegionSites::new(&net, events, event_runs);
                 icm_sweep_cached(&rs, region_state, region_cache)
             };
             for i in 0..n {
@@ -300,10 +292,7 @@ impl<'a> C2mn<'a> {
                 prev_events.extend_from_slice(events);
             }
             let changed_e = {
-                let es = EventSites {
-                    net: &net,
-                    regions: regions.as_slice(),
-                };
+                let es = EventSites::new(&net, regions, region_runs);
                 icm_sweep_cached(&es, event_state, event_cache)
             };
             for i in 0..n {
@@ -358,6 +347,8 @@ impl<'a> C2mn<'a> {
             regions,
             events,
             sweep,
+            event_runs,
+            region_runs,
             ..
         } = scratch;
         region_state.clear();
@@ -382,20 +373,14 @@ impl<'a> C2mn<'a> {
         for k in 0..schedule.sweeps {
             let t = schedule.temperature(k);
             {
-                let rs = RegionSites {
-                    net: &net,
-                    events: events.as_slice(),
-                };
+                let rs = RegionSites::new(&net, events, event_runs);
                 gibbs_sweep_with(&rs, region_state, t, rng, sweep);
             }
             for i in 0..n {
                 regions[i] = ctx.candidates[i][region_state[i]];
             }
             {
-                let es = EventSites {
-                    net: &net,
-                    regions: regions.as_slice(),
-                };
+                let es = EventSites::new(&net, regions, region_runs);
                 gibbs_sweep_with(&es, event_state, t, rng, sweep);
             }
             for i in 0..n {
@@ -405,20 +390,14 @@ impl<'a> C2mn<'a> {
 
         for _ in 0..(2 * n + 4) {
             let changed_r = {
-                let rs = RegionSites {
-                    net: &net,
-                    events: events.as_slice(),
-                };
+                let rs = RegionSites::new(&net, events, event_runs);
                 icm_sweep(&rs, region_state)
             };
             for i in 0..n {
                 regions[i] = ctx.candidates[i][region_state[i]];
             }
             let changed_e = {
-                let es = EventSites {
-                    net: &net,
-                    regions: regions.as_slice(),
-                };
+                let es = EventSites::new(&net, regions, region_runs);
                 icm_sweep(&es, event_state)
             };
             for i in 0..n {

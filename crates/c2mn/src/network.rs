@@ -330,13 +330,156 @@ impl<'c> CoupledNetwork<'c> {
     }
 }
 
+/// Runs of the label chain a half-sweep holds fixed: the bounds of the
+/// maximal run containing each site and a prefix count of label changes.
+///
+/// [`RegionSites`] index the event chain and [`EventSites`] the region
+/// chain when they are built, so their row fills read segment bounds and
+/// `fss` change counts instead of walking records. The buffers are reused
+/// from one half-sweep to the next (one pair lives in
+/// [`DecodeScratch`](crate::DecodeScratch)).
+#[derive(Debug, Default)]
+pub struct RunIndex {
+    /// First site of the run containing each site.
+    start: Vec<usize>,
+    /// Last site of the run containing each site.
+    end: Vec<usize>,
+    /// `changes[k]`: sites `j ∈ 1..=k` whose label differs from `j − 1`'s.
+    changes: Vec<u32>,
+}
+
+impl RunIndex {
+    /// Creates an empty index; buffers grow on first use.
+    pub fn new() -> Self {
+        RunIndex::default()
+    }
+
+    fn rebuild<T: PartialEq>(&mut self, labels: &[T]) {
+        let n = labels.len();
+        self.start.clear();
+        self.changes.clear();
+        for k in 0..n {
+            if k > 0 && labels[k] == labels[k - 1] {
+                self.start.push(self.start[k - 1]);
+                self.changes.push(self.changes[k - 1]);
+            } else {
+                self.start.push(k);
+                self.changes.push(self.changes.last().map_or(0, |&c| c + 1));
+            }
+        }
+        self.end.clear();
+        self.end.resize(n, 0);
+        for k in (0..n).rev() {
+            self.end[k] = if k + 1 < n && labels[k] == labels[k + 1] {
+                self.end[k + 1]
+            } else {
+                k
+            };
+        }
+    }
+
+    /// Bounds `a..=b` of the run containing site `k`.
+    #[inline]
+    fn run(&self, k: usize) -> (usize, usize) {
+        (self.start[k], self.end[k])
+    }
+
+    /// Label changes inside `a..=b` — `fss`'s transition count.
+    #[inline]
+    fn transitions(&self, a: usize, b: usize) -> u32 {
+        self.changes[b] - self.changes[a]
+    }
+}
+
+/// Distinct region labels of a record range: a stack buffer that spills
+/// to the heap only past 16 labels.
+struct LabelSet {
+    inline: [RegionId; 16],
+    len: usize,
+    spill: Vec<RegionId>,
+}
+
+impl LabelSet {
+    fn new() -> Self {
+        LabelSet {
+            inline: [RegionId(0); 16],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn iter(&self) -> impl Iterator<Item = RegionId> + '_ {
+        let inline = &self.inline[..self.len.min(self.inline.len())];
+        inline.iter().chain(&self.spill).copied()
+    }
+
+    fn contains(&self, r: RegionId) -> bool {
+        self.iter().any(|x| x == r)
+    }
+
+    fn insert(&mut self, r: RegionId) {
+        if self.contains(r) {
+            return;
+        }
+        if self.len < self.inline.len() {
+            self.inline[self.len] = r;
+        } else {
+            self.spill.push(r);
+        }
+        self.len += 1;
+    }
+}
+
+/// Feature triples of up to three consecutive runs, summed left to right
+/// from zero as the per-candidate window walks sum them.
+#[inline]
+fn sum_runs<T>(runs: [Option<T>; 3], features: impl Fn(T) -> [f64; 3]) -> [f64; 3] {
+    let mut sum = [0.0; 3];
+    for run in runs.into_iter().flatten() {
+        for (s, g) in sum.iter_mut().zip(features(run)) {
+            *s += g;
+        }
+    }
+    sum
+}
+
 /// Region-chain sites as a [`ConditionalModel`]: state entries are dense
 /// candidate indices into `ctx.candidates[site]`, the event chain is fixed.
 pub struct RegionSites<'c> {
-    /// The network.
-    pub net: &'c CoupledNetwork<'c>,
-    /// The fixed event labelling.
-    pub events: &'c [MobilityEvent],
+    net: &'c CoupledNetwork<'c>,
+    events: &'c [MobilityEvent],
+    /// Runs of `events`.
+    runs: &'c RunIndex,
+}
+
+impl<'c> RegionSites<'c> {
+    /// Region sites of `net` under the fixed event labelling `events`,
+    /// whose runs are indexed into `runs` (previous contents are
+    /// overwritten; the buffers are reused).
+    pub fn new(
+        net: &'c CoupledNetwork<'c>,
+        events: &'c [MobilityEvent],
+        runs: &'c mut RunIndex,
+    ) -> Self {
+        debug_assert_eq!(events.len(), net.ctx.len());
+        runs.rebuild(events);
+        RegionSites { net, events, runs }
+    }
+
+    /// `fss` summed over runs of the window under one candidate; each
+    /// run's event-change count is a prefix difference.
+    fn fss_runs(&self, runs: [Option<(usize, usize)>; 3]) -> [f64; 3] {
+        sum_runs(runs, |(a, b)| {
+            let t = self.runs.transitions(a, b);
+            self.net
+                .ctx
+                .fss_counted(a, b, t, self.events[a], self.events[b])
+        })
+    }
 }
 
 impl ConditionalModel for RegionSites<'_> {
@@ -355,16 +498,26 @@ impl ConditionalModel for RegionSites<'_> {
         self.net.weights.dot(&f)
     }
 
-    /// Fills the whole candidate row at once, hoisting the work every
-    /// candidate shares out of the per-candidate loop: the event run
-    /// containing `site` (and `fes`'s label-independent speed/turn terms
-    /// plus the rest-of-run distinct set — each candidate then adjusts the
-    /// distinct count by one membership probe), and the `fss` window hull
-    /// (candidate-independent: its run scans never read `site`'s own
-    /// label). Every per-candidate floating-point expression is the one
-    /// [`Self::local_log_potential`] evaluates, so the row is bitwise
-    /// identical to the per-candidate path — the dual-kernel oracle suite
-    /// pins this.
+    /// Fills the whole candidate row at once from the event chain's
+    /// [`RunIndex`]: a row costs one pass over the region labels of the
+    /// event run and the `fss` window around `site`, plus O(1) per
+    /// candidate.
+    ///
+    /// * `fss` — the window spanned by the region runs around `site − 1`
+    ///   and `site + 1` (found by one outward scan each; neither reads
+    ///   `site`'s own label) splits under a candidate into at most three
+    ///   runs, decided by whether the candidate equals either neighbour's
+    ///   label. Each run's event-change count is a prefix difference.
+    /// * `fes` — the event run comes from the index. Its distinct-region
+    ///   count is the rest-of-run label set plus one membership probe per
+    ///   candidate, so each candidate picks one of two precomputed
+    ///   triples. The set is built by one pass that skips the stretches
+    ///   the `fss` scans already proved to carry a single label.
+    ///
+    /// Every feature is the expression [`Self::local_log_potential`]
+    /// evaluates, over the same integer counts and summed in the same
+    /// order, so the row is bitwise identical to the per-candidate path;
+    /// the kernel oracle suite pins this.
     fn fill_row(&self, site: usize, state: &[usize], out: &mut [f64]) {
         let net = self.net;
         let ctx = net.ctx;
@@ -374,44 +527,59 @@ impl ConditionalModel for RegionSites<'_> {
         let cands = &ctx.candidates[i];
         debug_assert_eq!(out.len(), cands.len());
         let region_at = |k: usize| ctx.candidates[k][state[k]];
-        let event_at = |k: usize| self.events[k];
+        let left = (i > 0).then(|| region_at(i - 1));
+        let right = (i + 1 < n).then(|| region_at(i + 1));
 
-        // (len, rest-distinct set, sign·speed, sign·(−turns), sign).
-        let es = s.event_segmentation.then(|| {
-            let (a, b) = net.run_around(i, |k, j| event_at(k) == event_at(j));
-            let len = (b - a + 1) as f64;
-            let mut rest: Vec<RegionId> = Vec::with_capacity(8);
-            for k in a..=b {
-                if k == i {
-                    continue;
-                }
-                let r = region_at(k);
-                if !rest.contains(&r) {
-                    rest.push(r);
+        // `lo..i` carries `left` and `i + 1..=hi` carries `right`.
+        let (mut lo, mut hi) = (i, i);
+        let mut apart = [0.0; 3];
+        if s.space_segmentation {
+            if let Some(r) = left {
+                lo = i - 1;
+                while lo > 0 && region_at(lo - 1) == r {
+                    lo -= 1;
                 }
             }
-            let speed = if b > a {
-                let dt = (ctx.records[b].t - ctx.records[a].t).max(1e-6);
-                (ctx.path_length(a, b) / dt / ctx.config.speed_norm).min(1.0)
-            } else {
-                0.0
+            if let Some(r) = right {
+                hi = i + 1;
+                while hi + 1 < n && region_at(hi + 1) == r {
+                    hi += 1;
+                }
+            }
+            apart = self.fss_runs([
+                left.map(|_| (lo, i - 1)),
+                Some((i, i)),
+                right.map(|_| (i + 1, hi)),
+            ]);
+        }
+        // `fes` of the event run with the candidate already present in the
+        // rest of the run, and with it new there.
+        let es = s.event_segmentation.then(|| {
+            let (a, b) = self.runs.run(i);
+            let mut rest = LabelSet::new();
+            let mut scan = |range: std::ops::Range<usize>| {
+                let mut prev = None;
+                for (cands, &c) in ctx.candidates[range.clone()].iter().zip(&state[range]) {
+                    let r = cands[c];
+                    if prev != Some(r) {
+                        rest.insert(r);
+                        prev = Some(r);
+                    }
+                }
             };
-            let turns = ctx.turns_in(a, b) as f64 / len;
-            let sign = 2.0 * event_at(i).pass_indicator() - 1.0;
-            (len, rest, sign * speed, sign * (-turns), sign)
-        });
-        let ss = s.space_segmentation.then(|| {
-            let lo = if i == 0 {
-                0
-            } else {
-                net.run_around(i - 1, |k, j| region_at(k) == region_at(j)).0
-            };
-            let hi = if i + 1 >= n {
-                n - 1
-            } else {
-                net.run_around(i + 1, |k, j| region_at(k) == region_at(j)).1
-            };
-            (lo, hi)
+            let (l0, r0) = (lo.max(a), hi.min(b));
+            scan(a..l0);
+            scan(r0 + 1..b + 1);
+            if let Some(r) = left.filter(|_| l0 < i) {
+                rest.insert(r);
+            }
+            if let Some(r) = right.filter(|_| r0 > i) {
+                rest.insert(r);
+            }
+            let event = self.events[i];
+            let known = ctx.fes_counted(a, b, rest.len(), event);
+            let new = ctx.fes_counted(a, b, rest.len() + 1, event);
+            (rest, known, new)
         });
 
         for (c_idx, slot) in out.iter_mut().enumerate() {
@@ -434,26 +602,20 @@ impl ConditionalModel for RegionSites<'_> {
                     f[idx::SC] += ctx.fsc_at(i, c_idx, state[i + 1]);
                 }
             }
-            if let Some((len, rest, sp, tn, sign)) = &es {
-                let count = rest.len() + usize::from(!rest.contains(&cand));
-                f[idx::ES] = sign * (count as f64 / len);
-                f[idx::ES + 1] = *sp;
-                f[idx::ES + 2] = *tn;
+            if let Some((rest, known, new)) = &es {
+                let g = if rest.contains(cand) { known } else { new };
+                f[idx::ES..idx::ES + 3].copy_from_slice(g);
             }
-            if let Some((lo, hi)) = ss {
-                let eff = |k: usize| if k == i { cand } else { region_at(k) };
-                let mut a = lo;
-                while a <= hi {
-                    let mut b = a;
-                    while b < hi && eff(b + 1) == eff(a) {
-                        b += 1;
-                    }
-                    let g = ctx.fss(a, b, event_at);
-                    for k in 0..3 {
-                        f[idx::SS + k] += g[k];
-                    }
-                    a = b + 1;
-                }
+            if s.space_segmentation {
+                let left_run = left.map(|_| (lo, i - 1));
+                let right_run = right.map(|_| (i + 1, hi));
+                let g = match (left == Some(cand), right == Some(cand)) {
+                    (false, false) => apart,
+                    (true, false) => self.fss_runs([Some((lo, i)), right_run, None]),
+                    (false, true) => self.fss_runs([left_run, Some((i, hi)), None]),
+                    (true, true) => self.fss_runs([Some((lo, hi)), None, None]),
+                };
+                f[idx::SS..idx::SS + 3].copy_from_slice(&g);
             }
             *slot = net.weights.dot(&f);
         }
@@ -501,14 +663,7 @@ impl ConditionalModel for RegionSites<'_> {
             hi = hi.max((site + 1).min(n - 1));
         }
         if s.event_segmentation {
-            let mut a = site;
-            while a > 0 && self.events[a - 1] == self.events[site] {
-                a -= 1;
-            }
-            let mut b = site;
-            while b + 1 < n && self.events[b + 1] == self.events[site] {
-                b += 1;
-            }
+            let (a, b) = self.runs.run(site);
             let old_r = ctx.candidates[site][prev_candidate];
             let new_r = region(site);
             let (mut cnt_old, mut pos_old) = (0usize, 0usize);
@@ -567,10 +722,37 @@ impl ConditionalModel for RegionSites<'_> {
 /// Event-chain sites as a [`ConditionalModel`]: state entries index
 /// [`MobilityEvent::ALL`], the region chain is fixed.
 pub struct EventSites<'c> {
-    /// The network.
-    pub net: &'c CoupledNetwork<'c>,
-    /// The fixed region labelling.
-    pub regions: &'c [RegionId],
+    net: &'c CoupledNetwork<'c>,
+    regions: &'c [RegionId],
+    /// Runs of `regions`.
+    runs: &'c RunIndex,
+}
+
+impl<'c> EventSites<'c> {
+    /// Event sites of `net` under the fixed region labelling `regions`,
+    /// whose runs are indexed into `runs` (previous contents are
+    /// overwritten; the buffers are reused).
+    pub fn new(
+        net: &'c CoupledNetwork<'c>,
+        regions: &'c [RegionId],
+        runs: &'c mut RunIndex,
+    ) -> Self {
+        debug_assert_eq!(regions.len(), net.ctx.len());
+        runs.rebuild(regions);
+        EventSites { net, regions, runs }
+    }
+
+    /// Distinct region labels of the sites in `range`, one probe per
+    /// region run.
+    fn labels(&self, range: std::ops::Range<usize>) -> LabelSet {
+        let mut set = LabelSet::new();
+        let mut k = range.start;
+        while k < range.end {
+            set.insert(self.regions[k]);
+            k = self.runs.end[k] + 1;
+        }
+        set
+    }
 }
 
 impl ConditionalModel for EventSites<'_> {
@@ -592,6 +774,128 @@ impl ConditionalModel for EventSites<'_> {
             &mut f,
         );
         self.net.weights.dot(&f)
+    }
+
+    /// Fills both candidates' row at once from the region chain's
+    /// [`RunIndex`]:
+    ///
+    /// * `fes` — one outward scan from `site − 1` and one from `site + 1`
+    ///   find the event runs around the site (neither reads its own
+    ///   label). Under a candidate the hull splits into at most three
+    ///   runs, decided by whether the candidate equals either neighbour's
+    ///   label. Their distinct-region counts all follow from the region
+    ///   label sets of the two side runs, each collected by stepping over
+    ///   region runs rather than records, and from the site's own region.
+    /// * `fss` — the region run containing the site comes from the index;
+    ///   its event changes are counted once per row, without the two
+    ///   pairs that touch the site, which each candidate then adds back.
+    ///
+    /// As in [`RegionSites`]' row, every feature is the expression
+    /// [`Self::local_log_potential`] evaluates, over the same integer
+    /// counts and summed in the same order, so the row is bitwise
+    /// identical to the per-candidate path.
+    fn fill_row(&self, site: usize, state: &[usize], out: &mut [f64]) {
+        let net = self.net;
+        let ctx = net.ctx;
+        let s = &ctx.config.structure;
+        let n = ctx.len();
+        let i = site;
+        debug_assert_eq!(out.len(), MobilityEvent::ALL.len());
+        let left = (i > 0).then(|| state[i - 1]);
+        let right = (i + 1 < n).then(|| state[i + 1]);
+
+        // `lo..i` carries `left` and `i + 1..=hi` carries `right`; their
+        // region label sets.
+        let (mut lo, mut hi) = (i, i);
+        let mut sides = None;
+        if s.event_segmentation {
+            if let Some(e) = left {
+                lo = i - 1;
+                while lo > 0 && state[lo - 1] == e {
+                    lo -= 1;
+                }
+            }
+            if let Some(e) = right {
+                hi = i + 1;
+                while hi + 1 < n && state[hi + 1] == e {
+                    hi += 1;
+                }
+            }
+            sides = Some((self.labels(lo..i), self.labels(i + 1..hi + 1)));
+        }
+        let (ra, rb) = self.runs.run(i);
+        let mut base = 0u32;
+        if s.space_segmentation {
+            // Pairs `(k − 1, k)` inside `lo..i` or `i + 1..=hi` carry no
+            // change; the two that touch `i` are added per candidate.
+            let before = ra + 1..(lo + 1).min(i).min(rb + 1);
+            let after = (hi + 1).max(i + 2)..rb + 1;
+            for k in before.chain(after) {
+                base += u32::from(state[k] != state[k - 1]);
+            }
+        }
+
+        for (c, slot) in out.iter_mut().enumerate() {
+            let cand = MobilityEvent::ALL[c];
+            let mut f = [0.0; NUM_FEATURES];
+            f[idx::EM] = ctx.fem[i][c];
+            if s.transitions {
+                if let Some(e) = left {
+                    f[idx::ET] += ctx.fet(MobilityEvent::ALL[e], cand);
+                }
+                if let Some(e) = right {
+                    f[idx::ET] += ctx.fet(cand, MobilityEvent::ALL[e]);
+                }
+            }
+            if s.synchronizations {
+                if let Some(e) = left {
+                    f[idx::EC] += ctx.fec(i - 1, MobilityEvent::ALL[e], cand);
+                }
+                if let Some(e) = right {
+                    f[idx::EC] += ctx.fec(i, cand, MobilityEvent::ALL[e]);
+                }
+            }
+            if let Some((l_set, r_set)) = &sides {
+                let own = self.regions[i];
+                // (a, b, event, distinct regions) per run of the hull.
+                let left_run = left.map(|e| (lo, i - 1, MobilityEvent::ALL[e], l_set.len()));
+                let right_run = right.map(|e| (i + 1, hi, MobilityEvent::ALL[e], r_set.len()));
+                let runs = match (left == Some(c), right == Some(c)) {
+                    (false, false) => [left_run, Some((i, i, cand, 1)), right_run],
+                    (true, false) => {
+                        let d = l_set.len() + usize::from(!l_set.contains(own));
+                        [Some((lo, i, cand, d)), right_run, None]
+                    }
+                    (false, true) => {
+                        let d = r_set.len() + usize::from(!r_set.contains(own));
+                        [left_run, Some((i, hi, cand, d)), None]
+                    }
+                    (true, true) => {
+                        let d = l_set.len()
+                            + r_set.iter().filter(|&r| !l_set.contains(r)).count()
+                            + usize::from(!l_set.contains(own) && !r_set.contains(own));
+                        [Some((lo, hi, cand, d)), None, None]
+                    }
+                };
+                let g = sum_runs(runs, |(a, b, e, d)| ctx.fes_counted(a, b, d, e));
+                f[idx::ES..idx::ES + 3].copy_from_slice(&g);
+            }
+            if s.space_segmentation {
+                let t = base
+                    + u32::from(ra < i && left != Some(c))
+                    + u32::from(i < rb && right != Some(c));
+                let at = |k: usize| {
+                    if k == i {
+                        cand
+                    } else {
+                        MobilityEvent::ALL[state[k]]
+                    }
+                };
+                let g = ctx.fss_counted(ra, rb, t, at(ra), at(rb));
+                f[idx::SS..idx::SS + 3].copy_from_slice(&g);
+            }
+            *slot = net.weights.dot(&f);
+        }
     }
 
     /// Markov blanket of event site `site` under the fixed region chain —
@@ -632,14 +936,7 @@ impl ConditionalModel for EventSites<'_> {
             }
         }
         if s.space_segmentation {
-            let mut a = site;
-            while a > 0 && self.regions[a - 1] == self.regions[site] {
-                a -= 1;
-            }
-            let mut b = site;
-            while b + 1 < n && self.regions[b + 1] == self.regions[site] {
-                b += 1;
-            }
+            let (a, b) = self.runs.run(site);
             lo = lo.min(a);
             hi = hi.max(b);
         }
@@ -993,19 +1290,15 @@ mod tests {
         let weights = Weights::uniform(1.0);
         let net = CoupledNetwork::new(&ctx, &weights);
         let events = vec![MobilityEvent::Stay; ctx.len()];
-        let rs = RegionSites {
-            net: &net,
-            events: &events,
-        };
+        let mut event_runs = RunIndex::new();
+        let rs = RegionSites::new(&net, &events, &mut event_runs);
         assert_eq!(rs.num_sites(), 10);
         for i in 0..10 {
             assert_eq!(rs.num_candidates(i), ctx.candidates[i].len());
         }
         let regions: Vec<RegionId> = (0..ctx.len()).map(|i| ctx.candidates[i][0]).collect();
-        let es = EventSites {
-            net: &net,
-            regions: &regions,
-        };
+        let mut region_runs = RunIndex::new();
+        let es = EventSites::new(&net, &regions, &mut region_runs);
         assert_eq!(es.num_sites(), 10);
         assert_eq!(es.num_candidates(3), 2);
         // Potentials are finite.

@@ -57,6 +57,9 @@ pub(crate) struct IngestState {
     pub(crate) next_commit: u64,
     /// A pipelined decode task panicked; surfaced by the next flush.
     pub(crate) panicked: bool,
+    /// Records dropped at submission for a non-finite coordinate or
+    /// timestamp.
+    pub(crate) records_dropped: u64,
 }
 
 impl IngestShared {
@@ -72,6 +75,7 @@ impl IngestShared {
                 ready: BTreeMap::new(),
                 next_commit: first_index,
                 panicked: false,
+                records_dropped: 0,
             }),
             progress: Condvar::new(),
             store: RwLock::new(store),

@@ -413,6 +413,12 @@ impl<'a> SemanticsEngine<'a> {
         self.state().next_commit
     }
 
+    /// Records dropped at submission over the engine's lifetime because
+    /// their x, y or t was not finite (see [`IngestSession::push`]).
+    pub fn records_dropped(&self) -> u64 {
+        self.state().records_dropped
+    }
+
     /// Distinct objects with sealed m-semantics.
     pub fn num_objects(&self) -> usize {
         self.shared.store.read().len()
@@ -619,13 +625,23 @@ impl<'a> SemanticsEngine<'a> {
         BatchAnnotator::with_pool(&self.model, &self.pool, self.base_seed)
     }
 
-    /// Accepts one pushed sequence from a session: stamps it into the
-    /// engine-wide submission queue, then either fans the filled queue
-    /// out synchronously (backpressure — the memory bound) or hands
-    /// buffered sequences to idle workers immediately (pipelining —
-    /// decode overlaps with arrival).
-    pub(crate) fn submit(&self, object_id: u64, records: Vec<PositioningRecord>) {
-        let full = self.state().queue.push((object_id, records));
+    /// Accepts one pushed sequence from a session: drops its records with
+    /// a non-finite x, y or t (one would otherwise poison decoding: NaN
+    /// distances break the candidate search and NaN potentials the
+    /// sampler), stamps it into the engine-wide submission queue, then
+    /// either fans the filled queue out synchronously (backpressure — the
+    /// memory bound) or hands buffered sequences to idle workers
+    /// immediately (pipelining — decode overlaps with arrival).
+    pub(crate) fn submit(&self, object_id: u64, mut records: Vec<PositioningRecord>) {
+        let pushed = records.len();
+        records.retain(|r| {
+            r.location.xy.x.is_finite() && r.location.xy.y.is_finite() && r.t.is_finite()
+        });
+        let full = {
+            let mut state = self.state();
+            state.records_dropped += (pushed - records.len()) as u64;
+            state.queue.push((object_id, records))
+        };
         match full {
             Some(batch) => self.decode_chunk(batch),
             None => self.dispatch_pipelined(),
@@ -1262,6 +1278,56 @@ mod tests {
             engine.tk_prq(&[RegionId(0)], 1, TimePeriod::new(0.0, 100.0)),
             vec![(RegionId(0), 1)]
         );
+    }
+
+    #[test]
+    fn non_finite_records_are_dropped_at_submission() {
+        let (space, dataset) = setup();
+        let mut sequences: Vec<Vec<PositioningRecord>> = dataset
+            .sequences
+            .iter()
+            .map(|s| s.positioning().collect())
+            .collect();
+        let bad = sequences.len() / 2;
+        let mut kept = sequences[bad].clone();
+        kept.remove(2);
+        sequences[bad][2].location.xy.x = f64::NAN;
+        let engine = EngineBuilder::new()
+            .threads(2)
+            .shards(3)
+            .base_seed(11)
+            .build(model(&space))
+            .unwrap();
+        // One object per sequence, so each object's m-semantics are one
+        // sequence's annotation.
+        let mut session = engine.ingest();
+        session.push_batch((0u64..).zip(sequences.iter().cloned()));
+        session.flush();
+        session.seal();
+        assert_eq!(engine.records_dropped(), 1);
+        // Later sessions are unaffected.
+        let n = sequences.len() as u64;
+        for round in 0..3 {
+            let mut session = engine.ingest();
+            session.push(n + round, sequences[0].clone());
+            session.flush();
+            session.seal();
+        }
+        assert_eq!(engine.records_dropped(), 1);
+        assert_eq!(engine.sequences_ingested(), n + 3);
+
+        // Each object equals a serial annotation with its global-index
+        // seed; the bad sequence keeps its index and loses only its record.
+        sequences[bad] = kept;
+        sequences.extend(std::iter::repeat_n(sequences[0].clone(), 3));
+        let mut scratch = DecodeScratch::new();
+        for (g, records) in sequences.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(ism_c2mn::sequence_seed(11, g));
+            let want = engine
+                .model()
+                .annotate_with(records, &mut rng, &mut scratch);
+            assert_eq!(engine.semantics_of(g as u64), Some(want), "object {g}");
+        }
     }
 
     #[test]

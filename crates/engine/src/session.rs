@@ -54,6 +54,13 @@ impl<'e, 'a> IngestSession<'e, 'a> {
     /// the queue decodes the buffered chunk on the engine's pool before
     /// returning (the bound is the memory contract: at most
     /// `queue_capacity` undecoded sequences are ever held).
+    ///
+    /// Records whose x, y or t is not finite (NaN or infinite) are dropped
+    /// first and counted by
+    /// [`SemanticsEngine::records_dropped`](crate::SemanticsEngine::records_dropped).
+    /// The sequence still takes its global index and seed and decodes
+    /// from its remaining records, so one bad record changes neither its
+    /// neighbours' results nor any later session's.
     pub fn push(&mut self, object_id: u64, records: Vec<PositioningRecord>) {
         self.engine.submit(object_id, records);
         self.pushed += 1;
