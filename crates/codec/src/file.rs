@@ -1,10 +1,11 @@
 //! Filesystem helpers: atomic writes and whole-artifact read/write.
 
-use std::fs;
+use std::fs::{self, File};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use crate::error::PersistError;
-use crate::frame::{decode_artifact, encode_artifact, ArtifactKind};
+use crate::frame::{check_artifact, encode_artifact, ArtifactKind, ARTIFACT_PREFIX_LEN};
 
 fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path
@@ -15,20 +16,20 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Writes `bytes` to `path` atomically: the bytes land in a sibling
-/// `*.tmp` file first and are renamed into place, so a crash mid-write
-/// leaves either the old artifact or the new one — never a half-written
-/// file at the final path.
+/// Writes `bytes` to `path` by atomic rename: the bytes land in a sibling
+/// `*.tmp` file first and are renamed into place, so a process that
+/// crashes mid-write leaves either the old artifact or the new one — never
+/// a half-written file at the final path.
+///
+/// Nothing here calls `fsync`, so the guarantee covers a process crash
+/// only: after a power loss or OS crash the file system may keep the
+/// renamed file without all of its bytes. Such an artifact is lost; its
+/// frame checksum makes it fail to open rather than decode wrong data.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     let tmp = tmp_path(path);
     fs::write(&tmp, bytes).map_err(|e| PersistError::io(&tmp, "write", &e))?;
     fs::rename(&tmp, path).map_err(|e| PersistError::io(path, "rename", &e))?;
     Ok(())
-}
-
-/// Reads the whole file at `path`.
-pub fn read_file(path: &Path) -> Result<Vec<u8>, PersistError> {
-    fs::read(path).map_err(|e| PersistError::io(path, "read", &e))
 }
 
 /// Atomically writes a single-frame artifact (header + checksummed frame)
@@ -38,10 +39,22 @@ pub fn write_artifact(path: &Path, kind: ArtifactKind, payload: &[u8]) -> Result
 }
 
 /// Reads and validates a single-frame artifact, returning its payload.
+///
+/// The header and frame prefix are read on their own, so the payload is
+/// read straight into the returned buffer: one allocation the size of the
+/// payload, and no copy.
 pub fn read_artifact(path: &Path, kind: ArtifactKind) -> Result<Vec<u8>, PersistError> {
-    let bytes = read_file(path)?;
-    let payload = decode_artifact(&bytes, kind).map_err(|e| PersistError::codec(path, e))?;
-    Ok(payload.to_vec())
+    let read_error = |e: std::io::Error| PersistError::io(path, "read", &e);
+    let mut file = File::open(path).map_err(read_error)?;
+    let mut head = Vec::with_capacity(ARTIFACT_PREFIX_LEN);
+    (&mut file)
+        .take(ARTIFACT_PREFIX_LEN as u64)
+        .read_to_end(&mut head)
+        .map_err(read_error)?;
+    let mut payload = Vec::new();
+    file.read_to_end(&mut payload).map_err(read_error)?;
+    check_artifact(&head, &payload, kind).map_err(|e| PersistError::codec(path, e))?;
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -68,6 +81,34 @@ mod tests {
             read_artifact(&path, ArtifactKind::TrainCheckpoint).unwrap(),
             b"updated"
         );
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn read_artifact_fails_exactly_like_decode_artifact() {
+        // `read_artifact` validates the header + frame prefix and the
+        // payload as two pieces; every truncation, bit flip and trailing
+        // byte must fail with the error the joined bytes give.
+        use crate::frame::decode_artifact;
+        let path = scratch("parity.ism");
+        let kind = ArtifactKind::EngineSnapshot;
+        let good = encode_artifact(kind, b"twenty-one byte body!");
+        let mut cases: Vec<Vec<u8>> = (0..=good.len()).map(|n| good[..n].to_vec()).collect();
+        for i in 0..good.len() {
+            let mut flipped = good.clone();
+            flipped[i] ^= 0x04;
+            cases.push(flipped);
+        }
+        let mut trailing = good.clone();
+        trailing.extend_from_slice(b"xyz");
+        cases.push(trailing);
+        for bytes in cases {
+            fs::write(&path, &bytes).unwrap();
+            let expected = decode_artifact(&bytes, kind)
+                .map(<[u8]>::to_vec)
+                .map_err(|e| PersistError::codec(&path, e));
+            assert_eq!(read_artifact(&path, kind), expected, "{bytes:?}");
+        }
         fs::remove_file(&path).ok();
     }
 

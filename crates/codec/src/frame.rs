@@ -154,32 +154,35 @@ impl<'a> FrameIter<'a> {
         self.index
     }
 
-    // analyzer: allow(lib-panic) all indices are guarded by the FRAME_OVERHEAD and len checks above each access
     fn read_frame(&mut self) -> Result<&'a [u8], CodecError> {
-        let remaining = self.buf.len() - self.pos;
-        if remaining < FRAME_OVERHEAD {
-            return Err(CodecError::Truncated {
-                needed: FRAME_OVERHEAD,
-                available: remaining,
-            });
-        }
-        let b = &self.buf[self.pos..];
-        let len = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
-        let crc = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
-        if len > remaining - FRAME_OVERHEAD {
-            return Err(CodecError::Truncated {
-                needed: len,
-                available: remaining - FRAME_OVERHEAD,
-            });
-        }
-        let payload = &b[FRAME_OVERHEAD..FRAME_OVERHEAD + len];
-        if crc32(payload) != crc {
-            return Err(CodecError::BadChecksum { frame: self.index });
-        }
-        self.pos += FRAME_OVERHEAD + len;
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        let (prefix, rest) = rest.split_at(rest.len().min(FRAME_OVERHEAD));
+        let payload = frame_payload(prefix, rest, self.index)?;
+        self.pos += FRAME_OVERHEAD + payload.len();
         self.index += 1;
         Ok(payload)
     }
+}
+
+/// Validates one frame given its length + checksum `prefix` (short only at
+/// the end of the input) and the bytes after it, and returns the payload:
+/// `Truncated` if either runs out, `BadChecksum { frame }` on a mismatch.
+fn frame_payload<'a>(prefix: &[u8], rest: &'a [u8], frame: usize) -> Result<&'a [u8], CodecError> {
+    let Ok([l0, l1, l2, l3, c0, c1, c2, c3]) = <[u8; FRAME_OVERHEAD]>::try_from(prefix) else {
+        return Err(CodecError::Truncated {
+            needed: FRAME_OVERHEAD,
+            available: prefix.len(),
+        });
+    };
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let payload = rest.get(..len).ok_or(CodecError::Truncated {
+        needed: len,
+        available: rest.len(),
+    })?;
+    if crc32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
+        return Err(CodecError::BadChecksum { frame });
+    }
+    Ok(payload)
 }
 
 impl<'a> Iterator for FrameIter<'a> {
@@ -208,20 +211,33 @@ pub fn encode_artifact(kind: ArtifactKind, payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Bytes in front of a single-frame artifact's payload: the header plus
+/// the frame's length and checksum.
+pub(crate) const ARTIFACT_PREFIX_LEN: usize = HEADER_LEN + FRAME_OVERHEAD;
+
 /// Decodes a single-frame artifact produced by [`encode_artifact`],
 /// validating header, checksum, and that exactly one frame is present.
 pub fn decode_artifact(bytes: &[u8], kind: ArtifactKind) -> Result<&[u8], CodecError> {
-    let start = read_header(bytes, kind)?;
-    let mut frames = FrameIter::new(bytes, start);
-    let payload = frames.next().ok_or(CodecError::Truncated {
-        needed: FRAME_OVERHEAD,
-        available: 0,
-    })??;
-    match frames.next() {
-        None => Ok(payload),
-        Some(Ok(_)) | Some(Err(_)) => Err(CodecError::TrailingBytes {
-            trailing: bytes.len() - (start + FRAME_OVERHEAD + payload.len()),
-        }),
+    let (head, payload) = bytes.split_at(bytes.len().min(ARTIFACT_PREFIX_LEN));
+    check_artifact(head, payload, kind)?;
+    Ok(payload)
+}
+
+/// Validates a single-frame artifact held in two pieces: `head`, its first
+/// [`ARTIFACT_PREFIX_LEN`] bytes (the whole artifact if it is shorter), and
+/// `payload`, everything after them. Fails exactly as [`decode_artifact`]
+/// does on the joined bytes; on success `payload` is the frame's payload.
+pub(crate) fn check_artifact(
+    head: &[u8],
+    payload: &[u8],
+    kind: ArtifactKind,
+) -> Result<(), CodecError> {
+    let start = read_header(head, kind)?;
+    let prefix = head.get(start..).unwrap_or_default();
+    let framed = frame_payload(prefix, payload, 0)?;
+    match payload.len() - framed.len() {
+        0 => Ok(()),
+        trailing => Err(CodecError::TrailingBytes { trailing }),
     }
 }
 
@@ -236,6 +252,21 @@ mod tests {
         assert_eq!(
             decode_artifact(&bytes, ArtifactKind::TrainCheckpoint).unwrap(),
             payload
+        );
+        // Exactly one frame: stray bytes or a second frame are rejected.
+        let mut stray = bytes.clone();
+        stray.extend_from_slice(b"xyz");
+        assert_eq!(
+            decode_artifact(&stray, ArtifactKind::TrainCheckpoint),
+            Err(CodecError::TrailingBytes { trailing: 3 })
+        );
+        let mut two = bytes.clone();
+        append_frame(&mut two, payload);
+        assert_eq!(
+            decode_artifact(&two, ArtifactKind::TrainCheckpoint),
+            Err(CodecError::TrailingBytes {
+                trailing: FRAME_OVERHEAD + payload.len()
+            })
         );
     }
 

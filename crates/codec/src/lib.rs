@@ -48,7 +48,7 @@ mod reader;
 mod traits;
 
 pub use error::{CodecError, PersistError};
-pub use file::{read_artifact, read_file, write_artifact, write_atomic};
+pub use file::{read_artifact, write_artifact, write_atomic};
 pub use frame::{
     append_frame, decode_artifact, encode_artifact, read_header, write_header, ArtifactKind,
     FrameIter, FORMAT_VERSION, FRAME_OVERHEAD, HEADER_LEN, MAGIC,

@@ -16,11 +16,27 @@
 //!
 //! [`EngineBuilder::open`] is the warm restart: it loads the snapshot,
 //! **replays** the log's intact frames into the store (no re-annotation —
-//! the decode kernels never run), truncates a torn tail frame if the
-//! process died mid-append, and resumes the global sequence numbering
-//! where the file says it stopped. The reopened engine is byte-identical
-//! to one that never restarted — same store, same query answers, same
-//! seeds for every future sequence — pinned by `tests/persistence.rs`.
+//! the decode kernels never run), and resumes the global sequence
+//! numbering where the file says it stopped. Two rules keep the replay
+//! exact:
+//!
+//! * **Torn tail** — a frame whose length runs past the end of the file or
+//!   whose checksum fails is where the process died mid-append; it and
+//!   everything after it are truncated away.
+//! * **Stale frames** — a frame whose recorded commit index is at most the
+//!   snapshot's next sequence index was sealed before the snapshot was
+//!   taken, so the snapshot already holds its entries; it is skipped. Such
+//!   frames are left behind when the process dies after `save_snapshot`
+//!   renamed the new snapshot into place but before it reset the log, or
+//!   when that reset fails.
+//!
+//! The reopened engine is byte-identical to one that never restarted —
+//! same store, same query answers, same seeds for every future sequence —
+//! pinned by `tests/persistence.rs`.
+//!
+//! Crash model: artifacts are replaced by atomic rename and every frame
+//! is checksummed, but nothing calls `fsync`, so these guarantees hold
+//! when the process crashes, not when the machine loses power.
 //!
 //! A failing log write never poisons ingest: the log detaches and the
 //! error surfaces through [`SemanticsEngine::log_error`], while sealing
@@ -57,6 +73,10 @@ pub struct RecoveryReport {
     pub replayed_frames: usize,
     /// `(object, m-semantics)` entries those frames carried.
     pub replayed_entries: usize,
+    /// Intact seal frames skipped because the snapshot already holds
+    /// their entries (sealed before the snapshot was taken; see the
+    /// stale-frame rule in the module docs).
+    pub skipped_frames: usize,
     /// A torn tail frame (a crash mid-append) was detected and truncated.
     pub truncated_tail: bool,
     /// The global index the reopened engine's next sequence will get —
@@ -250,12 +270,15 @@ impl EngineBuilder {
     ///
     /// The snapshot's base seed, shard count, store, and next sequence
     /// index win over the builder's (the file *is* that configuration);
-    /// the builder still controls threads and queue capacity. Intact log
-    /// frames are appended and sealed into the store; a torn tail frame —
-    /// a crash mid-append — is detected by its checksum, reported in the
-    /// [`RecoveryReport`], and truncated so the log is clean for the
-    /// frames this process will append. A missing log (fresh snapshot, or
-    /// a crash before the first seal) is simply started empty.
+    /// the builder still controls threads and queue capacity. The engine's
+    /// worker pool exists before decoding, and the store's shard indexes
+    /// are rebuilt on it. Intact log frames are appended and sealed into
+    /// the store, except stale ones the snapshot already holds; a torn
+    /// tail frame — a crash mid-append — is detected by its checksum,
+    /// reported in the [`RecoveryReport`], and truncated so the log is
+    /// clean for the frames this process will append. A missing log (fresh
+    /// snapshot, or a crash before the first seal) is simply started
+    /// empty.
     ///
     /// Corrupt artifacts fail with a typed
     /// [`EngineError::Persist`] — never a panic, never an
@@ -266,23 +289,27 @@ impl EngineBuilder {
         space: &'a IndoorSpace,
     ) -> Result<(SemanticsEngine<'a>, RecoveryReport), EngineError> {
         let path = path.as_ref();
-        let payload = read_artifact(path, ArtifactKind::EngineSnapshot)?;
-        let mut r = Reader::new(&payload);
-        let decoded: Result<_, CodecError> = (|| {
-            let base_seed = r.u64()?;
-            let next = r.u64()?;
-            let snapshot = ModelSnapshot::decode(&mut r)?;
-            let store = ShardedSemanticsStore::decode(&mut r)?;
-            r.finish()?;
-            Ok((base_seed, next, snapshot, store))
-        })();
-        let (base_seed, mut next, snapshot, mut store) =
-            decoded.map_err(|e| PersistError::codec(path, e))?;
+        let pool = self.pool();
+        let (base_seed, snapshot_next, snapshot, mut store) = {
+            let payload = read_artifact(path, ArtifactKind::EngineSnapshot)?;
+            let mut r = Reader::new(&payload);
+            let decoded: Result<_, CodecError> = (|| {
+                let base_seed = r.u64()?;
+                let next = r.u64()?;
+                let snapshot = ModelSnapshot::decode(&mut r)?;
+                let store = ShardedSemanticsStore::decode_with(&mut r, &pool)?;
+                r.finish()?;
+                Ok((base_seed, next, snapshot, store))
+            })();
+            decoded.map_err(|e| PersistError::codec(path, e))?
+        };
+        let mut next = snapshot_next;
 
         let mut report = RecoveryReport {
             snapshot_objects: store.len(),
             replayed_frames: 0,
             replayed_entries: 0,
+            skipped_frames: 0,
             truncated_tail: false,
             next_sequence_index: next,
         };
@@ -301,6 +328,10 @@ impl EngineBuilder {
                             let (frame_next, entries) =
                                 decode_seal_payload(payload, store.num_shards())
                                     .map_err(|e| PersistError::codec(&lpath, e))?;
+                            if frame_next <= snapshot_next {
+                                report.skipped_frames += 1;
+                                continue;
+                            }
                             report.replayed_frames += 1;
                             report.replayed_entries += entries.len();
                             for (object_id, semantics) in entries {
@@ -325,7 +356,6 @@ impl EngineBuilder {
         self.shards = None; // the store's count wins
         self.first_sequence_index = next;
         self.initial = Some(store); // replayed entries seal during build
-        let pool = self.pool();
         let model = C2mn::from_snapshot(space, snapshot);
         let engine = self.build_with_pool(model, pool)?;
         *engine.log.lock() = LogState {

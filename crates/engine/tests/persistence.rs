@@ -1,6 +1,6 @@
-//! Engine durability pins: snapshot + warm restart byte-exactness, seal
-//! log replay (not re-annotation), torn-tail recovery, and typed errors
-//! on corrupt artifacts.
+//! Engine durability pins: snapshot + warm restart byte-exactness at any
+//! thread count, seal log replay (not re-annotation), torn-tail recovery,
+//! stale-frame skipping, and typed errors on corrupt artifacts.
 
 use ism_c2mn::{C2mn, C2mnConfig, Weights};
 use ism_engine::{log_path, EngineBuilder, EngineError, SemanticsEngine};
@@ -83,6 +83,7 @@ fn snapshot_reopens_byte_identically() {
     let (reopened, report) = EngineBuilder::new().threads(2).open(&path, &space).unwrap();
     assert_eq!(report.snapshot_objects, first.num_objects());
     assert_eq!(report.replayed_frames, 0);
+    assert_eq!(report.skipped_frames, 0);
     assert_eq!(report.replayed_entries, 0);
     assert!(!report.truncated_tail);
     assert_eq!(report.next_sequence_index, first.sequences_ingested());
@@ -106,6 +107,48 @@ fn snapshot_reopens_byte_identically() {
         reopened.tk_frpq(&regions, 5, qt),
         first.tk_frpq(&regions, 5, qt)
     );
+}
+
+#[test]
+fn open_rebuilds_the_same_store_at_any_thread_count() {
+    // The shard indexes are rebuilt on the opening engine's pool; the
+    // store must not depend on how many threads that pool has. Pending
+    // entries replayed from the log seal on the same pool.
+    let (space, stream) = setup();
+    let split = stream.len() / 2;
+    let path = test_dir("threads").join("engine.ism");
+    let live = engine(&space, 2);
+    let mut s = live.ingest();
+    s.push_batch(stream[..split].iter().cloned());
+    s.seal();
+    live.save_snapshot(&path).unwrap();
+    let mut s = live.ingest();
+    s.push_batch(stream[split..].iter().cloned());
+    s.seal();
+
+    let regions: Vec<RegionId> = space.regions().iter().map(|r| r.id).collect();
+    let qt = TimePeriod::new(0.0, 1e9);
+    for threads in [1, 2, 4] {
+        let (reopened, report) = EngineBuilder::new()
+            .threads(threads)
+            .open(&path, &space)
+            .unwrap();
+        assert_eq!(report.replayed_frames, 1, "threads = {threads}");
+        assert_eq!(reopened.threads(), threads);
+        assert_eq!(
+            shard_contents(&reopened),
+            shard_contents(&live),
+            "threads = {threads}"
+        );
+        assert_eq!(
+            reopened.tk_prq(&regions, 5, qt),
+            live.tk_prq(&regions, 5, qt)
+        );
+        assert_eq!(
+            reopened.tk_frpq(&regions, 5, qt),
+            live.tk_frpq(&regions, 5, qt)
+        );
+    }
 }
 
 #[test]
@@ -242,6 +285,61 @@ fn torn_log_tail_is_truncated_and_recovered() {
     s.push_batch(stream.iter().cloned());
     s.seal();
     assert_eq!(shard_contents(&third), shard_contents(&whole));
+}
+
+#[test]
+fn stale_log_frames_are_skipped_not_replayed_twice() {
+    // Regression: a process that dies after `save_snapshot` renamed the
+    // new snapshot into place but before it reset the log leaves the old
+    // log's frames next to a snapshot that already holds their entries.
+    // Replaying them doubled those objects' m-semantics.
+    let (space, stream) = setup();
+    let split = stream.len() / 2;
+    let mid = stream.len() - (stream.len() - split) / 2;
+    let path = test_dir("stale").join("engine.ism");
+    let lpath = log_path(&path);
+
+    let crashing = engine(&space, 2);
+    let mut s = crashing.ingest();
+    s.push_batch(stream[..split].iter().cloned());
+    s.seal();
+    crashing.save_snapshot(&path).unwrap();
+    for chunk in [&stream[split..mid], &stream[mid..]] {
+        let mut s = crashing.ingest();
+        s.push_batch(chunk.iter().cloned());
+        s.seal();
+    }
+    let old_log = std::fs::read(&lpath).unwrap();
+    crashing.save_snapshot(&path).unwrap();
+    let live = shard_contents(&crashing);
+    drop(crashing);
+    // The crash: the new snapshot is in place, the log reset never ran.
+    std::fs::write(&lpath, &old_log).unwrap();
+
+    for reopen in 0..2 {
+        let (reopened, report) = EngineBuilder::new().threads(2).open(&path, &space).unwrap();
+        assert_eq!(report.skipped_frames, 2, "reopen {reopen}");
+        assert_eq!(report.replayed_frames, 0, "reopen {reopen}");
+        assert_eq!(report.replayed_entries, 0, "reopen {reopen}");
+        assert!(!report.truncated_tail);
+        assert_eq!(report.next_sequence_index, stream.len() as u64);
+        assert_eq!(shard_contents(&reopened), live, "reopen {reopen}");
+    }
+
+    // A reopened engine appends behind the stale frames; the next reopen
+    // still skips exactly those and replays the new one.
+    let (reopened, _) = EngineBuilder::new().threads(2).open(&path, &space).unwrap();
+    let mut s = reopened.ingest();
+    s.push_batch(stream[..2].iter().cloned());
+    s.seal();
+    let expected = shard_contents(&reopened);
+    drop(reopened);
+    let (third, report) = EngineBuilder::new().threads(2).open(&path, &space).unwrap();
+    assert_eq!(report.skipped_frames, 2);
+    assert_eq!(report.replayed_frames, 1);
+    assert_eq!(report.replayed_entries, 2);
+    assert_eq!(report.next_sequence_index, stream.len() as u64 + 2);
+    assert_eq!(shard_contents(&third), expected);
 }
 
 #[test]

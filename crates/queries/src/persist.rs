@@ -12,11 +12,17 @@
 //! to a rebuilt one. That keeps the artifact small and means a decoded
 //! store answers TkPRQ/TkFRPQ byte-identically to the live one it was
 //! encoded from (pinned by the `persist_roundtrip` suite).
+//!
+//! Decoding reads every shard's entries in order (the format has no
+//! per-shard offsets), then rebuilds the shard indexes on a worker pool:
+//! [`ShardedSemanticsStore::decode_with`] on the caller's pool, the
+//! [`Decode`] impl inline on the calling thread.
 
 use ism_codec::{write_varint, CodecError, Decode, Encode, Reader};
 use ism_mobility::{decode_semantics_run, encode_semantics_run, MobilitySemantics};
+use ism_runtime::WorkerPool;
 
-use crate::store::{Shard, ShardedSemanticsStore};
+use crate::store::{run_owned, Shard, ShardedSemanticsStore};
 
 fn encode_entries(out: &mut Vec<u8>, entries: &[(u64, Vec<MobilitySemantics>)]) {
     write_varint(out, entries.len() as u64);
@@ -48,8 +54,11 @@ impl Encode for ShardedSemanticsStore {
     }
 }
 
-impl Decode for ShardedSemanticsStore {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+impl ShardedSemanticsStore {
+    /// Decodes a store, rebuilding the shard indexes on `pool` in shard
+    /// order. The store is identical to the [`Decode`] impl's for any
+    /// thread count.
+    pub fn decode_with(r: &mut Reader<'_>, pool: &WorkerPool) -> Result<Self, CodecError> {
         // An empty shard still occupies 2 bytes (two zero counts).
         let num_shards = r.count_prefix(2)?;
         if num_shards == 0 {
@@ -57,14 +66,24 @@ impl Decode for ShardedSemanticsStore {
                 what: "store with zero shards",
             });
         }
-        let mut shards = Vec::with_capacity(num_shards);
+        let mut parts = Vec::with_capacity(num_shards);
         for _ in 0..num_shards {
             let objects = decode_entries(r)?;
-            let mut shard = Shard::build(objects);
-            shard.pending = decode_entries(r)?;
-            shards.push(shard);
+            let pending = decode_entries(r)?;
+            parts.push((objects, pending));
         }
+        let shards = run_owned(pool, parts, |(objects, pending)| {
+            let mut shard = Shard::build(objects);
+            shard.pending = pending;
+            shard
+        });
         Ok(ShardedSemanticsStore { shards })
+    }
+}
+
+impl Decode for ShardedSemanticsStore {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Self::decode_with(r, &WorkerPool::new(1))
     }
 }
 

@@ -144,6 +144,26 @@ pub fn shard_of(object_id: u64, num_shards: usize) -> usize {
     (z % num_shards.max(1) as u64) as usize
 }
 
+/// Runs `job` on each of `items` over `pool`, returning the outputs in
+/// item order. `run` hands workers shared references, so each item travels
+/// to its worker through a take-once mutex slot.
+pub(crate) fn run_owned<T, U, F>(pool: &WorkerPool, items: Vec<T>, job: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(T) -> U + Sync,
+{
+    let slots: Vec<parking_lot::Mutex<Option<T>>> = items
+        .into_iter()
+        .map(|item| parking_lot::Mutex::new(Some(item)))
+        .collect();
+    // analyzer: allow(lib-panic) `run` hands out `i < slots.len()`, each exactly once — the take-once slot holds by the same claim
+    pool.run(slots.len(), |i| {
+        let item = slots[i].lock().take().expect("each item taken once");
+        job(item)
+    })
+}
+
 /// One shard: its sealed objects, the region→visit posting index over
 /// them, and a pending segment of appended-but-unsealed entries.
 #[derive(Debug, Clone, Default)]
@@ -298,16 +318,7 @@ impl ShardedSemanticsStore {
         if self.num_pending() == 0 {
             return SealSummary::default();
         }
-        // `run` hands workers shared references, so each shard travels to
-        // its worker through a take-once mutex slot (same pattern as
-        // [`ShardedStoreBuilder::build_with`]).
-        let slots: Vec<parking_lot::Mutex<Option<Shard>>> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(|s| parking_lot::Mutex::new(Some(s)))
-            .collect();
-        // analyzer: allow(lib-panic) `run` hands out `s < slots.len()`, each exactly once — the take-once slot holds by the same claim
-        let sealed = pool.run(slots.len(), |s| {
-            let mut shard = slots[s].lock().take().expect("each shard taken once");
+        let sealed = run_owned(pool, std::mem::take(&mut self.shards), |mut shard| {
             let part = shard.seal();
             (shard, part)
         });
@@ -546,18 +557,7 @@ impl ShardedStoreBuilder {
     /// out over `pool`. Output is identical to [`ShardedStoreBuilder::build`].
     #[must_use = "build_with returns the finished store; the builder is consumed"]
     pub fn build_with(self, pool: &WorkerPool) -> ShardedSemanticsStore {
-        // `run` hands workers shared references, so each part travels to
-        // its worker through a take-once mutex slot.
-        let parts: Vec<parking_lot::Mutex<Option<Vec<TaggedEntry>>>> = self
-            .parts
-            .into_iter()
-            .map(|p| parking_lot::Mutex::new(Some(p)))
-            .collect();
-        // analyzer: allow(lib-panic) `run` hands out `s < parts.len()`, each exactly once — the take-once slot holds by the same claim
-        let shards = pool.run(parts.len(), |s| {
-            let part = parts[s].lock().take().expect("each shard part taken once");
-            Shard::build(Self::coalesce(part))
-        });
+        let shards = run_owned(pool, self.parts, |part| Shard::build(Self::coalesce(part)));
         ShardedSemanticsStore { shards }
     }
 

@@ -1,9 +1,10 @@
 //! Store persistence properties: a decoded store is indistinguishable
 //! from the live store it was encoded from — same contents, same posting
 //! counts, byte-identical TkPRQ/TkFRPQ answers, same behaviour under
-//! further appends and seals — and corrupt bytes always fail typed.
+//! further appends and seals — whether its shard indexes are rebuilt
+//! inline or on a pool of any size, and corrupt bytes always fail typed.
 
-use ism_codec::{CodecError, Decode, Encode};
+use ism_codec::{CodecError, Decode, Encode, Reader};
 use ism_indoor::RegionId;
 use ism_mobility::{MobilityEvent, MobilitySemantics, TimePeriod};
 use ism_queries::{
@@ -17,6 +18,11 @@ use rand::{Rng, SeedableRng};
 /// A random store: sealed base contents plus a random pending segment.
 fn random_store(rng: &mut StdRng) -> ShardedSemanticsStore {
     let shards = rng.random_range(1..6);
+    random_store_with(rng, shards)
+}
+
+/// [`random_store`] with a fixed shard count.
+fn random_store_with(rng: &mut StdRng, shards: usize) -> ShardedSemanticsStore {
     let mut builder = ShardedStoreBuilder::new(shards);
     let objects = rng.random_range(0..30u64);
     for _ in 0..objects {
@@ -29,6 +35,26 @@ fn random_store(rng: &mut StdRng) -> ShardedSemanticsStore {
         store.append(id, random_run(rng));
     }
     store
+}
+
+/// TkPRQ and TkFRPQ answers over every region, for a few windows.
+type Answers = Vec<(Vec<(RegionId, usize)>, Vec<((RegionId, RegionId), usize)>)>;
+
+fn answers(store: &ShardedSemanticsStore, pool: &WorkerPool) -> Answers {
+    let regions: Vec<RegionId> = (0..8).map(RegionId).collect();
+    [
+        TimePeriod::new(0.0, 1e9),
+        TimePeriod::new(100.0, 300.0),
+        TimePeriod::new(900.0, 901.0),
+    ]
+    .into_iter()
+    .map(|qt| {
+        (
+            tk_prq_sharded(store, &regions, 4, qt, pool),
+            tk_frpq_sharded(store, &regions, 4, qt, pool),
+        )
+    })
+    .collect()
 }
 
 fn random_run(rng: &mut StdRng) -> Vec<MobilitySemantics> {
@@ -63,25 +89,12 @@ proptest! {
         let decoded = ShardedSemanticsStore::from_bytes(&live.to_bytes()).unwrap();
         prop_assert_eq!(decoded.num_postings(), live.num_postings());
 
-        let regions: Vec<RegionId> = (0..8).map(RegionId).collect();
         for threads in [1, 3] {
             let pool = WorkerPool::new(threads);
-            for qt in [
-                TimePeriod::new(0.0, 1e9),
-                TimePeriod::new(100.0, 300.0),
-                TimePeriod::new(900.0, 901.0),
-            ] {
-                prop_assert_eq!(
-                    tk_prq_sharded(&decoded, &regions, 4, qt, &pool),
-                    tk_prq_sharded(&live, &regions, 4, qt, &pool)
-                );
-                prop_assert_eq!(
-                    tk_frpq_sharded(&decoded, &regions, 4, qt, &pool),
-                    tk_frpq_sharded(&live, &regions, 4, qt, &pool)
-                );
-            }
+            prop_assert_eq!(answers(&decoded, &pool), answers(&live, &pool));
         }
         // The batched path agrees too.
+        let regions: Vec<RegionId> = (0..8).map(RegionId).collect();
         let mut batch = QueryBatch::new();
         batch.tk_prq(&regions, 3, TimePeriod::new(0.0, 1e9));
         batch.tk_frpq(&regions, 3, TimePeriod::new(0.0, 1e9));
@@ -141,6 +154,41 @@ proptest! {
                 | CodecError::TrailingBytes { .. },
             ) => {}
             Err(other) => prop_assert!(false, "unexpected error: {:?}", other),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Shard indexes rebuilt on a pool: for 1, 3 and 8 shards with a
+    /// pending segment, a decode through pools of 1, 2 and 4 threads
+    /// re-encodes to the input bytes and answers TkPRQ/TkFRPQ like the
+    /// inline decode, before and after sealing the pending entries.
+    #[test]
+    fn pooled_decode_matches_inline_decode(seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for shards in [1, 3, 8] {
+            let mut live = random_store_with(&mut rng, shards);
+            live.append(rng.random_range(0..25u64), random_run(&mut rng));
+            let bytes = live.to_bytes();
+            let mut inline = ShardedSemanticsStore::from_bytes(&bytes).unwrap();
+            let pool = WorkerPool::new(2);
+            let inline_answers = answers(&inline, &pool);
+            inline.seal();
+            let sealed_answers = answers(&inline, &pool);
+            for threads in [1, 2, 4] {
+                let pool = WorkerPool::new(threads);
+                let mut r = Reader::new(&bytes);
+                let mut pooled = ShardedSemanticsStore::decode_with(&mut r, &pool).unwrap();
+                r.finish().unwrap();
+                prop_assert_eq!(pooled.to_bytes(), bytes, "shards {}, threads {}", shards, threads);
+                prop_assert_eq!(pooled.num_postings(), live.num_postings());
+                prop_assert_eq!(answers(&pooled, &pool), inline_answers);
+                pooled.seal_with(&pool);
+                prop_assert_eq!(pooled.to_bytes(), inline.to_bytes());
+                prop_assert_eq!(answers(&pooled, &pool), sealed_answers);
+            }
         }
     }
 }
