@@ -326,8 +326,8 @@ impl<'a> C2mn<'a> {
     /// log-potential from scratch.
     ///
     /// [`C2mn::label_with`] must produce byte-identical labels for the
-    /// same RNG state — the `kernel_oracle` integration suite and the
-    /// benchmark's naive-vs-cached comparison both call this.
+    /// same RNG state; the `kernel_oracle` integration suite compares the
+    /// two.
     pub fn label_with_naive<R: Rng + ?Sized>(
         &self,
         records: &[PositioningRecord],

@@ -1,9 +1,9 @@
 //! Encoding primitives: little-endian fixed-width writes, LEB128 varints,
 //! ZigZag, the order-preserving f64 mapping, and CRC-32.
 //!
-//! These mirror the conventions proven by the compressed posting codec in
-//! `ism-queries` (`crates/queries/src/codec.rs`); the reading side lives in
-//! [`crate::Reader`], which bounds-checks every access.
+//! The compressed posting index of `ism-queries` encodes with these same
+//! functions. The reading side lives in [`crate::Reader`], which
+//! bounds-checks every access.
 
 /// Appends `v` little-endian.
 #[inline]
@@ -150,6 +150,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn crc32_known_vectors() {
@@ -170,5 +171,54 @@ mod tests {
             out,
             [0x34, 0x12, 0xBC, 0x9A, 0x78, 0x56, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01]
         );
+    }
+
+    #[test]
+    fn ordered_bits_is_monotone_on_samples() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -0.0,
+            0.0,
+            1e-300,
+            3.75,
+            86_400.0,
+            f64::INFINITY,
+        ];
+        for w in xs.windows(2) {
+            assert!(
+                ordered_bits(w[0]) <= ordered_bits(w[1]),
+                "{} vs {}",
+                w[0],
+                w[1]
+            );
+        }
+        for &x in &xs {
+            assert_eq!(from_ordered_bits(ordered_bits(x)).to_bits(), x.to_bits());
+        }
+    }
+
+    #[test]
+    fn zigzag_round_trips_boundaries() {
+        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
+            assert_eq!(unzigzag(zigzag(v)), v);
+        }
+        // Small magnitudes stay small.
+        assert!(zigzag(-3) < 8);
+        assert!(zigzag(3) < 8);
+    }
+
+    proptest! {
+        #[test]
+        fn zigzag_round_trips(v in i64::MIN..i64::MAX) {
+            prop_assert_eq!(unzigzag(zigzag(v)), v);
+        }
+
+        #[test]
+        fn ordered_bits_round_trip_and_order(a in -1e12f64..1e12, b in -1e12f64..1e12) {
+            prop_assert_eq!(from_ordered_bits(ordered_bits(a)).to_bits(), a.to_bits());
+            prop_assert_eq!(ordered_bits(a) <= ordered_bits(b), a.total_cmp(&b) != std::cmp::Ordering::Greater);
+        }
     }
 }

@@ -18,7 +18,10 @@
 //!
 //! Lock order: `state` before `store` ([`IngestShared::commit_ready`]
 //! nests the store write lock inside the state lock); nothing ever takes
-//! `state` while holding `store`.
+//! `state` while holding `store`. The engine's `log`, `cache` and
+//! `standing` mutexes come after `store`: a seal updates them under its
+//! store write guard, and standing registration and cache fills under the
+//! read guard they evaluated with.
 //!
 //! [`WorkerPool::try_spawn`]: ism_runtime::WorkerPool::try_spawn
 

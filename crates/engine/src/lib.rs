@@ -509,9 +509,9 @@ impl<'a> SemanticsEngine<'a> {
         }
         let mut batch = QueryBatch::new();
         batch.tk_prq(query, k, qt);
-        let answer = self.run_batch(&batch).pop().expect("one answer per query");
-        self.cache.lock().insert(key, answer.clone());
-        answer.into_prq().expect("a PRQ answers as PRQ")
+        self.evaluate_and_cache(key, &batch)
+            .and_then(QueryAnswer::into_prq)
+            .expect("a one-query PRQ batch answers one PRQ")
     }
 
     /// Top-k frequently co-visited region pairs among `query` within `qt`,
@@ -531,9 +531,19 @@ impl<'a> SemanticsEngine<'a> {
         }
         let mut batch = QueryBatch::new();
         batch.tk_frpq(query, k, qt);
-        let answer = self.run_batch(&batch).pop().expect("one answer per query");
+        self.evaluate_and_cache(key, &batch)
+            .and_then(QueryAnswer::into_frpq)
+            .expect("a one-query FRPQ batch answers one FRPQ")
+    }
+
+    /// Evaluates a one-query batch and caches its answer under one store
+    /// read guard, so no seal (and its cache invalidation) can land
+    /// between the evaluation and the insert.
+    fn evaluate_and_cache(&self, key: CacheKey, batch: &QueryBatch) -> Option<QueryAnswer> {
+        let store = self.shared.store.read();
+        let answer = batch.run(&store, &self.pool).pop()?;
         self.cache.lock().insert(key, answer.clone());
-        answer.into_frpq().expect("an FRPQ answers as FRPQ")
+        Some(answer)
     }
 
     /// Evaluates a prepared [`QueryBatch`] in one fan-out over the sealed
@@ -554,13 +564,9 @@ impl<'a> SemanticsEngine<'a> {
     /// [`standing_prq_result`](SemanticsEngine::standing_prq_result)
     /// byte-identical to re-running [`tk_prq`](SemanticsEngine::tk_prq).
     pub fn standing_tk_prq(&self, query: &[RegionId], k: usize, qt: TimePeriod) -> StandingQueryId {
-        let state = {
-            let store = self.shared.store.read();
-            StandingTkPrq::new(query, k, qt, &store, &self.pool)
-        };
-        let mut standing = self.standing.lock();
-        standing.push(Some(StandingState::Prq(state)));
-        StandingQueryId(standing.len() - 1)
+        let store = self.shared.store.read();
+        let state = StandingTkPrq::new(query, k, qt, &store, &self.pool);
+        self.register_standing(StandingState::Prq(state))
     }
 
     /// Registers a standing TkFRPQ over everything sealed so far; every
@@ -573,12 +579,17 @@ impl<'a> SemanticsEngine<'a> {
         k: usize,
         qt: TimePeriod,
     ) -> StandingQueryId {
-        let state = {
-            let store = self.shared.store.read();
-            StandingTkFrpq::new(query, k, qt, &store, &self.pool)
-        };
+        let store = self.shared.store.read();
+        let state = StandingTkFrpq::new(query, k, qt, &store, &self.pool);
+        self.register_standing(StandingState::Frpq(state))
+    }
+
+    /// Publishes a standing query. Callers still hold the store read
+    /// guard its initial counts came from, so no seal can fall between
+    /// those counts and the first fold (missed or counted twice).
+    fn register_standing(&self, state: StandingState) -> StandingQueryId {
         let mut standing = self.standing.lock();
-        standing.push(Some(StandingState::Frpq(state)));
+        standing.push(Some(state));
         StandingQueryId(standing.len() - 1)
     }
 
@@ -788,20 +799,23 @@ impl<'a> SemanticsEngine<'a> {
     /// If a seal log is attached, the pending entries are appended to it
     /// as one frame *before* the merge, so a crash after this call loses
     /// nothing (see the `persist` module docs).
+    ///
+    /// The cache and the standing queries are updated before the store
+    /// write guard drops: a query that reads the store is then either
+    /// wholly before this seal or wholly after it, together with its
+    /// cache entry or standing registration. The engine-wide lock order
+    /// is state → store → {log, cache, standing}.
     pub(crate) fn seal_store(&self) {
-        let summary = {
-            // State before store (the engine-wide lock order): the commit
-            // index the frame records must describe exactly the pending
-            // set we log, so both are read under one store write guard.
-            let state = self.state();
-            let next_commit = state.next_commit;
-            let mut store = self.shared.store.write();
-            drop(state);
-            if store.num_pending() > 0 {
-                self.log_seal(next_commit, &store);
-            }
-            store.seal_summarized_with(&self.pool)
-        };
+        // The commit index the frame records must describe exactly the
+        // pending set we log, so both are read under one store write guard.
+        let state = self.state();
+        let next_commit = state.next_commit;
+        let mut store = self.shared.store.write();
+        drop(state);
+        if store.num_pending() > 0 {
+            self.log_seal(next_commit, &store);
+        }
+        let summary = store.seal_summarized_with(&self.pool);
         if summary.new_stays.is_empty() {
             return;
         }

@@ -2,7 +2,8 @@
 //! engine produce a sealed store **byte-identical** to serial ingestion
 //! of the same push order, for thread counts {1, 2, 4} and several
 //! interleavings — and no steady-state path ever spawns a thread after
-//! pool construction (pinned via `PoolStats::threads_spawned`).
+//! pool construction (pinned via `PoolStats::threads_spawned`). Standing
+//! queries and cached answers stay exact while seals land concurrently.
 //!
 //! [`IngestSession`]: ism_engine::IngestSession
 
@@ -10,9 +11,11 @@ use ism_c2mn::{BatchAnnotator, C2mn, C2mnConfig, Weights};
 use ism_engine::EngineBuilder;
 use ism_indoor::{BuildingGenerator, IndoorSpace};
 use ism_mobility::{Dataset, PositioningConfig, PositioningRecord, SimulationConfig, TimePeriod};
+use ism_queries::{QueryAnswer, QueryBatch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -248,4 +251,81 @@ fn steady_state_paths_never_spawn_threads() {
         .unwrap();
     assert_eq!(other.pool_stats().threads_spawned, 1);
     assert_eq!(engine.pool_stats().threads_spawned, spawned);
+}
+
+/// Derived views stay exact while seals land under them. One thread
+/// keeps registering standing queries and issuing a cached one-shot
+/// query while the main thread pushes and seals one sequence at a time.
+/// Once the stream ends, every standing ranking and the cached answer
+/// must equal a fresh evaluation of the sealed store: a registration (or
+/// cache fill) whose store read and publish straddle a seal would either
+/// miss that seal's stays or count them twice.
+#[test]
+fn standing_and_cached_queries_stay_exact_under_concurrent_seals() {
+    const SEALS: usize = 32;
+    let mut rng = StdRng::seed_from_u64(17);
+    let space = BuildingGenerator::small_office()
+        .generate(&mut rng)
+        .unwrap();
+    let dataset = Dataset::generate(
+        "seal-race",
+        &space,
+        SimulationConfig::quick(),
+        PositioningConfig::synthetic(8.0, 1.5),
+        None,
+        SEALS,
+        &mut rng,
+    );
+    let engine = EngineBuilder::new()
+        .threads(2)
+        .shards(3)
+        .base_seed(13)
+        .build(model(&space))
+        .unwrap();
+    let regions: Vec<_> = space.regions().iter().map(|r| r.id).collect();
+    let qt = TimePeriod::new(0.0, 1e9);
+    let done = AtomicBool::new(false);
+    let (prqs, frpqs) = std::thread::scope(|scope| {
+        let registrar = scope.spawn(|| {
+            let (mut prqs, mut frpqs) = (Vec::new(), Vec::new());
+            while !done.load(Ordering::Acquire) {
+                prqs.push(engine.standing_tk_prq(&regions, 5, qt));
+                // An FRPQ registration costs several PRQ ones.
+                if prqs.len() % 8 == 0 {
+                    frpqs.push(engine.standing_tk_frpq(&regions, 5, qt));
+                }
+                let _ = engine.tk_prq(&regions, 5, qt);
+            }
+            (prqs, frpqs)
+        });
+        for (i, seq) in dataset.sequences.iter().take(SEALS).enumerate() {
+            let mut session = engine.ingest();
+            session.push(i as u64, seq.positioning().collect());
+            session.seal();
+        }
+        done.store(true, Ordering::Release);
+        registrar.join().unwrap()
+    });
+
+    let mut batch = QueryBatch::new();
+    batch.tk_prq(&regions, 5, qt);
+    batch.tk_frpq(&regions, 5, qt);
+    let mut fresh = engine.run_batch(&batch).into_iter();
+    let prq = fresh.next().and_then(QueryAnswer::into_prq).unwrap();
+    let frpq = fresh.next().and_then(QueryAnswer::into_frpq).unwrap();
+    let stale = prqs
+        .iter()
+        .filter(|&&id| engine.standing_prq_result(id).as_ref() != Some(&prq))
+        .count()
+        + frpqs
+            .iter()
+            .filter(|&&id| engine.standing_frpq_result(id).as_ref() != Some(&frpq))
+            .count();
+    assert_eq!(
+        stale,
+        0,
+        "{stale} of {} standing queries diverged from a fresh run",
+        prqs.len() + frpqs.len()
+    );
+    assert_eq!(engine.tk_prq(&regions, 5, qt), prq, "stale cached answer");
 }

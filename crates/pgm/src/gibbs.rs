@@ -1,14 +1,17 @@
-//! Markov-blanket inference: Gibbs sampling, ICM, simulated annealing.
+//! Markov-blanket inference: Gibbs sampling and ICM.
 //!
 //! C2MN's learning and decoding both operate on *local conditionals*: the
 //! probability of one target node's label given its Markov blanket
 //! (§IV-A). This module abstracts that interface as [`ConditionalModel`]
-//! and provides the three sweep strategies the pipeline uses:
+//! and provides the two sweep strategies the pipeline uses:
 //!
 //! * [`gibbs_sweep`] — stochastic resampling (the MCMC inference of
-//!   Algorithm 1),
-//! * [`icm_sweep`] — iterated conditional modes for greedy decoding,
-//! * [`simulated_annealing`] — tempered Gibbs for higher-quality decoding.
+//!   Algorithm 1), run at the temperatures of an [`AnnealSchedule`] for
+//!   annealed decoding,
+//! * [`icm_sweep`] — iterated conditional modes for greedy decoding.
+//!
+//! The memoized [`gibbs_sweep_cached`] / [`icm_sweep_cached`] are what the
+//! pipeline runs; the naive sweeps stay as their byte-identity reference.
 
 use crate::util::sample_from_log_weights;
 use rand::Rng;
@@ -245,9 +248,8 @@ impl SweepCache {
 
     /// Refreshes every row against `state`, leaving the whole cache clean.
     ///
-    /// Used by the blanket-soundness suites and by benchmarks that want a
-    /// fully warm cache before measuring: after `fill_all`, the only dirty
-    /// rows are those something explicitly invalidates.
+    /// Used by the blanket-soundness suites: after `fill_all`, the only
+    /// dirty rows are those something explicitly invalidates.
     pub fn fill_all<M: ConditionalModel + ?Sized>(&mut self, model: &M, state: &[usize]) {
         for site in 0..model.num_sites() {
             let k = model.num_candidates(site);
@@ -507,25 +509,6 @@ impl AnnealSchedule {
     }
 }
 
-/// Simulated annealing: tempered Gibbs sweeps followed by ICM until a local
-/// optimum is reached (at most `num_sites` extra ICM sweeps).
-pub fn simulated_annealing<M: ConditionalModel + ?Sized, R: Rng + ?Sized>(
-    model: &M,
-    state: &mut [usize],
-    schedule: &AnnealSchedule,
-    rng: &mut R,
-) {
-    let mut scratch = SweepScratch::new();
-    for i in 0..schedule.sweeps {
-        gibbs_sweep_with(model, state, schedule.temperature(i), rng, &mut scratch);
-    }
-    for _ in 0..model.num_sites().max(1) {
-        if icm_sweep(model, state) == 0 {
-            break;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,20 +619,6 @@ mod tests {
         let mut state = vec![0; 4];
         gibbs_sweep(&model, &mut state, 1e-6, &mut rng);
         assert_eq!(state, vec![1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn annealing_finds_global_mode_despite_bad_init() {
-        let model = Chain {
-            prefs: vec![1; 20],
-            k: 4,
-            unary: 1.5,
-            coupling: 1.0,
-        };
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut state: Vec<usize> = (0..20).map(|i| i % 4).collect();
-        simulated_annealing(&model, &mut state, &AnnealSchedule::default(), &mut rng);
-        assert_eq!(state, vec![1; 20]);
     }
 
     #[test]

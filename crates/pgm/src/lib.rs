@@ -9,13 +9,14 @@
 //!   exact forward–backward gradients with L-BFGS (the classic CMN of
 //!   §II-B; also used to sanity-check the learning stack),
 //! * [`gibbs`] — Markov-blanket samplers over a [`ConditionalModel`]:
-//!   Gibbs sweeps, iterated conditional modes (ICM) and simulated
-//!   annealing, the inference workhorses of C2MN's alternate learning and
-//!   joint decoding. The memoized variants ([`gibbs_sweep_cached`] /
-//!   [`icm_sweep_cached`] over a [`SweepCache`]) recompute a site's
-//!   candidate row only when its Markov blanket
-//!   ([`ConditionalModel::dependents`]) changed — byte-identical to the
-//!   naive sweeps, which remain compiled as the reference oracle,
+//!   Gibbs sweeps (annealed through an [`AnnealSchedule`]) and iterated
+//!   conditional modes (ICM), the inference workhorses of C2MN's
+//!   alternate learning and joint decoding. The memoized variants
+//!   ([`gibbs_sweep_cached`] / [`icm_sweep_cached`] over a
+//!   [`SweepCache`]) recompute a site's candidate row only when its
+//!   Markov blanket ([`ConditionalModel::dependents`]) changed —
+//!   byte-identical to the naive sweeps, which remain compiled as the
+//!   reference oracle,
 //! * [`util`] — numerically stable log-space helpers.
 
 #![deny(missing_docs)]
@@ -29,8 +30,8 @@ pub mod util;
 pub use chain_crf::{ChainCrf, ChainCrfConfig};
 pub use gibbs::{
     gibbs_sweep, gibbs_sweep_cached, gibbs_sweep_with, icm_sweep, icm_sweep_cached, kernel_stats,
-    note_pairwise_table_bytes, simulated_annealing, AnnealSchedule, ConditionalModel, KernelStats,
-    SweepCache, SweepScratch,
+    note_pairwise_table_bytes, AnnealSchedule, ConditionalModel, KernelStats, SweepCache,
+    SweepScratch,
 };
 pub use hmm::{Hmm, HmmConfig};
 pub use util::{log_sum_exp, sample_from_log_weights};

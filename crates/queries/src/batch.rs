@@ -1,15 +1,14 @@
 //! Batched query fan-out: N queries share one worker-pool dispatch.
 //!
-//! `BENCH_queries.json` recorded the bug this module fixes: sharded
-//! TkPRQ/TkFRPQ ran at 0.79× with 2 threads versus 1, because every single
-//! query paid a full `WorkerPool::map_reduce` dispatch (scoped thread
-//! spawns + joins) for a few hundred microseconds of index work. A
-//! [`QueryBatch`] amortises that dispatch: the batch fans out over the
-//! store's shards **once**, each worker evaluating *every* query of the
-//! batch against each shard it claims, and per-query partial counts merge
-//! commutatively exactly like the single-query path — so batch answers are
-//! byte-identical to running each query alone, and to the flat sequential
-//! reference.
+//! Sharded TkPRQ/TkFRPQ once ran at 0.79× with 2 threads versus 1,
+//! because every single query paid a full `WorkerPool::map_reduce`
+//! dispatch (scoped thread spawns + joins) for a few hundred microseconds
+//! of index work. A [`QueryBatch`] amortises that dispatch: the batch fans
+//! out over the store's shards **once**, each worker evaluating *every*
+//! query of the batch against each shard it claims, and per-query partial
+//! counts merge commutatively exactly like the single-query path — so
+//! batch answers are byte-identical to running each query alone, and to
+//! the flat sequential reference.
 //!
 //! Two additional dispatch rules keep small calls cheap:
 //!

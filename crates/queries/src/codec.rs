@@ -2,33 +2,30 @@
 //!
 //! Posting lists store three numbers per visit: the start time, the end
 //! time, and the visiting object id. Raw, that is 24 bytes per posting.
-//! The codec shrinks sorted runs of postings losslessly:
+//! The codec shrinks sorted runs of postings losslessly with the
+//! `ism-codec` primitives:
 //!
 //! * Timestamps map to **order-preserving u64 bit patterns**
 //!   ([`ordered_bits`]): for finite `a ≤ b`, `ordered_bits(a) ≤
 //!   ordered_bits(b)`, and the mapping round-trips every bit of the f64.
 //!   Within a run sorted by start time, consecutive starts therefore
 //!   delta-encode as small non-negative integers, and each end encodes as
-//!   its (non-negative) offset from its own start.
+//!   its ZigZag-ed ([`zigzag`]) offset from its own start.
 //! * Deltas and object ids serialize as **LEB128 varints** ([`write_varint`]
 //!   / [`read_varint`]): 7 payload bits per byte, continuation bit on top,
 //!   so nearby timestamps and small ids take 1–5 bytes instead of 8.
 //!
 //! Every run restarts its delta chain with an absolute first start, which
 //! is what lets the time-bucket index decode any bucket without touching
-//! the ones before it. Encode → decode is the identity on any finite
-//! posting run — pinned by the property tests below.
-
-/// Appends `v` to `buf` as an LEB128 varint (7 bits per byte, little
-/// endian, high bit = continuation).
-#[inline]
-pub(crate) fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8 & 0x7F) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
+//! the ones before it.
+//!
+//! Only the varint read lives here. Posting buffers are encoded in memory
+//! by this process, so the query hot path decodes them without the bounds
+//! checks [`ism_codec::Reader`] makes on untrusted bytes.
+//!
+//! [`ordered_bits`]: ism_codec::ordered_bits
+//! [`zigzag`]: ism_codec::zigzag
+//! [`write_varint`]: ism_codec::write_varint
 
 /// Reads the varint at `buf[*pos..]`, advancing `pos` past it.
 #[inline]
@@ -47,48 +44,10 @@ pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> u64 {
     }
 }
 
-/// Maps an f64 to a u64 whose unsigned order matches the f64 total order
-/// (the `total_cmp` order: negative values reversed, sign bit flipped for
-/// non-negatives). Round-trips through [`from_ordered_bits`] exactly.
-#[inline]
-pub(crate) fn ordered_bits(x: f64) -> u64 {
-    let b = x.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
-}
-
-/// Inverse of [`ordered_bits`].
-#[inline]
-pub(crate) fn from_ordered_bits(b: u64) -> f64 {
-    if b >> 63 == 1 {
-        f64::from_bits(b & !(1 << 63))
-    } else {
-        f64::from_bits(!b)
-    }
-}
-
-/// ZigZag-maps a signed delta to an unsigned varint payload (small
-/// magnitudes of either sign stay small). A stay's end is numerically ≥
-/// its start, but bit-wise the offset can still be negative (`end = -0.0`,
-/// `start = 0.0` orders below it), so end offsets go through ZigZag rather
-/// than assuming non-negativity.
-#[inline]
-pub(crate) fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-#[inline]
-pub(crate) fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ism_codec::write_varint;
     use proptest::prelude::*;
 
     #[test]
@@ -105,48 +64,7 @@ mod tests {
         assert_eq!(pos, buf.len());
     }
 
-    #[test]
-    fn ordered_bits_is_monotone_on_samples() {
-        let xs = [
-            f64::NEG_INFINITY,
-            -1e300,
-            -2.5,
-            -0.0,
-            0.0,
-            1e-300,
-            3.75,
-            86_400.0,
-            f64::INFINITY,
-        ];
-        for w in xs.windows(2) {
-            assert!(
-                ordered_bits(w[0]) <= ordered_bits(w[1]),
-                "{} vs {}",
-                w[0],
-                w[1]
-            );
-        }
-        for &x in &xs {
-            assert_eq!(from_ordered_bits(ordered_bits(x)).to_bits(), x.to_bits());
-        }
-    }
-
-    #[test]
-    fn zigzag_round_trips_boundaries() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        // Small magnitudes stay small.
-        assert!(zigzag(-3) < 8);
-        assert!(zigzag(3) < 8);
-    }
-
     proptest! {
-        #[test]
-        fn zigzag_round_trips(v in i64::MIN..i64::MAX) {
-            prop_assert_eq!(unzigzag(zigzag(v)), v);
-        }
-
         #[test]
         fn varint_round_trips(v in 0u64..u64::MAX) {
             let mut buf = Vec::new();
@@ -154,12 +72,6 @@ mod tests {
             let mut pos = 0;
             prop_assert_eq!(read_varint(&buf, &mut pos), v);
             prop_assert_eq!(pos, buf.len());
-        }
-
-        #[test]
-        fn ordered_bits_round_trip_and_order(a in -1e12f64..1e12, b in -1e12f64..1e12) {
-            prop_assert_eq!(from_ordered_bits(ordered_bits(a)).to_bits(), a.to_bits());
-            prop_assert_eq!(ordered_bits(a) <= ordered_bits(b), a.total_cmp(&b) != std::cmp::Ordering::Greater);
         }
     }
 }

@@ -11,11 +11,12 @@
 //! visit instead of touching every record in the shard, and the whole list
 //! costs a fraction of the 24 raw bytes per posting.
 
+use ism_codec::{from_ordered_bits, ordered_bits, unzigzag, write_varint, zigzag};
 use ism_indoor::RegionId;
 use ism_mobility::{MobilityEvent, MobilitySemantics, TimePeriod};
 use std::collections::HashMap;
 
-use crate::codec::{from_ordered_bits, ordered_bits, read_varint, unzigzag, write_varint, zigzag};
+use crate::codec::read_varint;
 use crate::topk::QuerySet;
 
 /// One visit posting: the visiting object and the stay interval.
