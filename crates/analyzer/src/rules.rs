@@ -67,7 +67,7 @@ pub struct FileReport {
 }
 
 /// Lints one file's source text. `path` decides which rules apply (see
-/// [`Scope`]); it is echoed into findings verbatim.
+/// `Scope`); it is echoed into findings verbatim.
 pub fn lint_file(path: &str, source: &str) -> FileReport {
     let lexed = lex(source);
     let scope = Scope::of(path);

@@ -1,13 +1,13 @@
 //! Baseline annotation methods the paper compares against (§V-A).
 //!
-//! * [`Smot`] — SMoT (Alvares et al. [2]): a speed threshold separates
+//! * [`Smot`] — SMoT (Alvares et al. \[2\]): a speed threshold separates
 //!   stays from passes; regions come from nearest-neighbour matching of
 //!   representative locations.
-//! * [`HmmDc`] — HMM+DC (the paper's TRIPS system [12]): an HMM whose
+//! * [`HmmDc`] — HMM+DC (the paper's TRIPS system \[12\]): an HMM whose
 //!   hidden states are regions and whose observations are grid cells,
 //!   estimated by frequency counting and decoded with Viterbi; events come
 //!   from ST-DBSCAN clustering (core/border → stay, noise → pass).
-//! * [`SapDv`] / [`SapDa`] — the SAP layered framework (Yan et al. [26]):
+//! * [`SapDv`] / [`SapDa`] — the SAP layered framework (Yan et al. \[26\]):
 //!   first segment the sequence into stay/pass segments
 //!   (dynamic-velocity-based or density-area-based), then label stay
 //!   segments with an HMM over regions (observation probability from the

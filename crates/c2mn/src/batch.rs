@@ -162,16 +162,15 @@ impl<'m, 'a> BatchAnnotator<'m, 'a> {
             })
     }
 
-    /// Annotates the batch straight into a sharded semantics store: each
-    /// worker folds its sequences' m-semantics into per-shard partial
-    /// builders (map), partial builders merge, and shard indexes build in
-    /// parallel (reduce) — no intermediate flat collection of the batch.
+    /// Annotates the batch into a sharded semantics store:
+    /// [`annotate_batch`](BatchAnnotator::annotate_batch), then in-order
+    /// [`ShardedStoreBuilder::insert`], then shard indexes built in
+    /// parallel on the annotator's pool.
     ///
     /// `object_ids[i]` is the object owning `sequences[i]`; repeated ids
     /// (e.g. one object's chunked sub-sequences) extend a single store
-    /// entry in item order. Entries carry their item index, so the result
-    /// is byte-identical for any thread count and equal to inserting
-    /// `annotate_batch` output into a [`ShardedStoreBuilder`] sequentially.
+    /// entry in item order. The result is byte-identical for any thread
+    /// count.
     pub fn annotate_into_store(
         &self,
         sequences: &[Vec<PositioningRecord>],
@@ -183,20 +182,10 @@ impl<'m, 'a> BatchAnnotator<'m, 'a> {
             object_ids.len(),
             "one object id per sequence"
         );
-        let (_, builder) = self.pool.map_reduce(
-            sequences.len(),
-            || (DecodeScratch::new(), ShardedStoreBuilder::new(num_shards)),
-            |(scratch, builder), i| {
-                let mut rng = StdRng::seed_from_u64(sequence_seed(self.base_seed, i));
-                let semantics = self.model.annotate_with(&sequences[i], &mut rng, scratch);
-                builder.insert_at(i as u64, object_ids[i], semantics);
-            },
-            |(_, total), (_, partial)| {
-                total
-                    .merge(partial)
-                    .expect("partial builders share the target shard count");
-            },
-        );
+        let mut builder = ShardedStoreBuilder::new(num_shards);
+        for (&object_id, semantics) in object_ids.iter().zip(self.annotate_batch(sequences)) {
+            builder.insert(object_id, semantics);
+        }
         builder.build_with(&self.pool)
     }
 }

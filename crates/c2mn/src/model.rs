@@ -162,9 +162,9 @@ impl<'a> C2mn<'a> {
     /// [`SweepCache`] that refills a site's candidate row only when the
     /// site's Markov blanket changed, and a region half-sweep dirties the
     /// affected event rows (and vice versa) via the snapshot-diff helpers
-    /// in [`crate::network`]. The result is byte-identical to the naive
-    /// loop, which remains available as [`C2mn::label_with_naive`] and
-    /// serves as the test oracle.
+    /// in the crate's `network` module. The result is byte-identical to
+    /// the naive loop, which remains available as
+    /// [`C2mn::label_with_naive`] and serves as the test oracle.
     pub fn label_with<R: Rng + ?Sized>(
         &self,
         records: &[PositioningRecord],

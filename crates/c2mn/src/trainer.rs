@@ -10,7 +10,7 @@
 //!
 //! * **Pool-parallel** — the per-sequence pseudo-likelihood sampling
 //!   (lines 5–8 of Algorithm 1) fans out over a
-//!   [`WorkerPool::map_reduce`](ism_runtime::WorkerPool::map_reduce);
+//!   [`WorkerPool::run_with`](ism_runtime::WorkerPool::run_with);
 //!   sequence `seq` of iteration `iter` samples from an RNG seeded with
 //!   [`train_seed`]`(base_seed, iter, seq)`, so the learned weights are
 //!   **byte-identical for any thread count** and equal to the sequential
@@ -24,7 +24,7 @@
 //!   learned weights.
 
 use crate::prep::{prepare, TrainingData};
-use crate::sample::{sample_sequence, SampleScratch, SequenceSamples};
+use crate::sample::{sample_sequence, SampleScratch};
 use crate::step::optimize_step;
 use crate::structure::NUM_FEATURES;
 use crate::{train_seed, C2mn, C2mnConfig, FirstConfigured, TrainError, Weights};
@@ -374,18 +374,16 @@ impl<'a, 'ob> Trainer<'a, 'ob> {
             debug_assert!(!active.is_empty());
 
             // --- MCMC sampling of the free chain (lines 5–8), fanned out
-            // over the pool. Workers claim sequences dynamically and fold
-            // index-tagged results into per-worker accumulators; sorting
-            // by sequence index afterwards restores the sequential order,
-            // so thread count is unobservable.
+            // over the pool. Each sequence's RNG depends only on its index,
+            // and `run_with` returns samples in sequence order, so thread
+            // count is unobservable.
             let weights_now = &state.weights;
             let events_cfg = &state.events_cfg;
             let regions_cfg = &state.regions_cfg;
-            let (_, mut tagged) = self.pool.map_reduce(
-                n_seqs,
-                || (SampleScratch::new(), Vec::new()),
-                |(scratch, out): &mut (SampleScratch, Vec<(usize, SequenceSamples)>), s| {
-                    let samples = sample_sequence(
+            let samples = self
+                .pool
+                .run_with(n_seqs, SampleScratch::new, |scratch, s| {
+                    sample_sequence(
                         &data.seqs[s],
                         &events_cfg[s],
                         &regions_cfg[s],
@@ -394,13 +392,8 @@ impl<'a, 'ob> Trainer<'a, 'ob> {
                         config.mcmc_m,
                         train_seed(self.seed, iter, s),
                         scratch,
-                    );
-                    out.push((s, samples));
-                },
-                |(_, total), (_, part)| total.extend(part),
-            );
-            tagged.sort_unstable_by_key(|&(s, _)| s);
-            let samples: Vec<SequenceSamples> = tagged.into_iter().map(|(_, x)| x).collect();
+                    )
+                });
 
             // --- Inner L-BFGS on the surrogate (lines 9–17) --------------
             let step = optimize_step(&samples, &state.weights, &active, &config);

@@ -1,7 +1,7 @@
 //! Bounds-checked cursor over encoded bytes.
 
 use crate::error::CodecError;
-use crate::primitives::{from_ordered_bits, unzigzag};
+use crate::primitives::unzigzag;
 
 /// A cursor over an encoded buffer where every read is bounds-checked and
 /// every length prefix is validated against the remaining input *before*
@@ -78,11 +78,6 @@ impl<'a> Reader<'a> {
     /// [`crate::write_f64_bits`].
     pub fn f64_bits(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads an f64 stored in [`crate::ordered_bits`] form.
-    pub fn ordered_f64(&mut self) -> Result<f64, CodecError> {
-        Ok(from_ordered_bits(self.u64()?))
     }
 
     /// Reads a `bool` encoded as a single `0`/`1` byte.

@@ -5,8 +5,9 @@
 //! module holds the state that makes ingest *pipelined* and *concurrent*
 //! instead:
 //!
-//! * one engine-wide [`SubmissionQueue`] stamps every pushed sequence with
-//!   a global index in push order, no matter which session pushed it;
+//! * one engine-wide buffer ([`IngestState::pending`]) stamps every
+//!   pushed sequence with a global index in push order, no matter which
+//!   session pushed it;
 //! * sequences are handed to **idle workers immediately**
 //!   ([`WorkerPool::try_spawn`]) so decoding overlaps with arrival, while
 //!   a filled queue still falls back to a synchronous batch fan-out — the
@@ -21,15 +22,15 @@
 //! `state` while holding `store`. The engine's `log`, `cache` and
 //! `standing` mutexes come after `store`: a seal updates them under its
 //! store write guard, and standing registration and cache fills under the
-//! read guard they evaluated with.
+//! read guard they evaluated with. `save_snapshot` holds `state` and the
+//! store write guard from its seal through the seal-log swap.
 //!
 //! [`WorkerPool::try_spawn`]: ism_runtime::WorkerPool::try_spawn
 
 use ism_mobility::{MobilitySemantics, PositioningRecord};
 use ism_queries::ShardedSemanticsStore;
-use ism_runtime::SubmissionQueue;
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// One submitted-but-undecoded sequence: `(object_id, p-records)`.
 pub(crate) type PendingItem = (u64, Vec<PositioningRecord>);
@@ -47,9 +48,12 @@ pub(crate) struct IngestShared {
 
 /// The mutable ledger under [`IngestShared::state`].
 pub(crate) struct IngestState {
-    /// Engine-wide submission queue: one global numbering across all
-    /// concurrent sessions, stamped in push order.
-    pub(crate) queue: SubmissionQueue<PendingItem>,
+    /// Submitted-but-undispatched sequences with their global indices,
+    /// stamped in push order across all concurrent sessions. Holds at
+    /// most the engine's queue capacity.
+    pub(crate) pending: VecDeque<(u64, PendingItem)>,
+    /// Global index the next pushed sequence gets.
+    pub(crate) next_index: u64,
     /// Decode tasks handed to workers (or running inline) but not yet
     /// committed.
     pub(crate) inflight: usize,
@@ -66,14 +70,11 @@ pub(crate) struct IngestState {
 }
 
 impl IngestShared {
-    pub(crate) fn new(
-        store: ShardedSemanticsStore,
-        queue_capacity: usize,
-        first_index: u64,
-    ) -> Self {
+    pub(crate) fn new(store: ShardedSemanticsStore, first_index: u64) -> Self {
         IngestShared {
             state: Mutex::new(IngestState {
-                queue: SubmissionQueue::starting_at(queue_capacity, first_index),
+                pending: VecDeque::new(),
+                next_index: first_index,
                 inflight: 0,
                 ready: BTreeMap::new(),
                 next_commit: first_index,

@@ -217,11 +217,7 @@ impl EngineBuilder {
             pool,
             base_seed: self.base_seed,
             queue_capacity,
-            shared: Arc::new(IngestShared::new(
-                store,
-                queue_capacity,
-                self.first_sequence_index,
-            )),
+            shared: Arc::new(IngestShared::new(store, self.first_sequence_index)),
             cache: Mutex::new(QueryCache::default()),
             standing: Mutex::new(Vec::new()),
             log: Mutex::new(persist::LogState::default()),
@@ -402,7 +398,7 @@ impl<'a> SemanticsEngine<'a> {
     /// Sequences ingested over the engine's lifetime (the global index of
     /// the next pushed sequence, counted across all sessions).
     pub fn sequences_ingested(&self) -> u64 {
-        self.state().queue.next_index()
+        self.state().next_index
     }
 
     /// Sequences whose decoded m-semantics have been appended to the live
@@ -651,7 +647,10 @@ impl<'a> SemanticsEngine<'a> {
         let full = {
             let mut state = self.state();
             state.records_dropped += (pushed - records.len()) as u64;
-            state.queue.push((object_id, records))
+            let index = state.next_index;
+            state.next_index += 1;
+            state.pending.push_back((index, (object_id, records)));
+            (state.pending.len() >= self.queue_capacity).then(|| state.pending.drain(..).collect())
         };
         match full {
             Some(batch) => self.decode_chunk(batch),
@@ -676,7 +675,7 @@ impl<'a> SemanticsEngine<'a> {
                     // finishes; leave them buffered.
                     return;
                 }
-                match state.queue.pop_front() {
+                match state.pending.pop_front() {
                     Some(item) => {
                         state.inflight += 1;
                         item
@@ -737,7 +736,7 @@ impl<'a> SemanticsEngine<'a> {
                         // Chain onto the next buffered sequence inside the
                         // same critical section as the decrement, keeping
                         // `inflight` non-zero across the handoff.
-                        if let Some(item) = state.queue.pop_front() {
+                        if let Some(item) = state.pending.pop_front() {
                             state.inflight += 1;
                             next = Some(item);
                         }
@@ -781,7 +780,7 @@ impl<'a> SemanticsEngine<'a> {
     /// decode task panicked (the deferred equivalent of the synchronous
     /// path's panic).
     pub(crate) fn flush_ingest(&self) {
-        let batch = self.state().queue.drain();
+        let batch = self.state().pending.drain(..).collect();
         self.decode_chunk(batch);
         let mut state = self.state();
         loop {
@@ -812,8 +811,15 @@ impl<'a> SemanticsEngine<'a> {
         let next_commit = state.next_commit;
         let mut store = self.shared.store.write();
         drop(state);
+        self.seal_locked(next_commit, &mut store);
+    }
+
+    /// [`seal_store`](SemanticsEngine::seal_store)'s body, for a caller
+    /// that holds the store write guard and read `next_commit` under the
+    /// state lock it took that guard in.
+    pub(crate) fn seal_locked(&self, next_commit: u64, store: &mut ShardedSemanticsStore) {
         if store.num_pending() > 0 {
-            self.log_seal(next_commit, &store);
+            self.log_seal(next_commit, store);
         }
         let summary = store.seal_summarized_with(&self.pool);
         if summary.new_stays.is_empty() {

@@ -203,26 +203,28 @@ impl SemanticsEngine<'_> {
     ///
     /// Buffered and in-flight sequences are flushed and sealed first, so
     /// the snapshot covers everything pushed engine-wide up to the call.
+    /// From that seal until the new log is in place, pushes, commits,
+    /// seals and queries on other threads wait, so every concurrent seal
+    /// lands wholly in the snapshot or wholly in the new log.
     /// [`EngineBuilder::open`] restores it without re-annotating anything.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), EngineError> {
         let path = path.as_ref();
         self.flush_ingest();
-        self.seal_store();
-        let payload = {
-            // State before store (the engine-wide lock order); holding the
-            // read guard while encoding freezes commits from concurrent
-            // sessions, so `next_commit` and the store stay consistent.
-            let state = self.state();
-            let next_commit = state.next_commit;
-            let store = self.shared.store.read();
-            drop(state);
-            let mut out = Vec::new();
-            write_u64(&mut out, self.base_seed);
-            write_u64(&mut out, next_commit);
-            self.model.snapshot().encode(&mut out);
-            store.encode(&mut out);
-            out
-        };
+        // Hold the state lock and the store write guard (the engine-wide
+        // lock order) from the seal through the log swap. A seal in
+        // between would be logged as pending although the snapshot holds
+        // it, or land in the old log the swap discards, or append through
+        // the old handle after `SealLog::create` truncated the file.
+        // Pushes and commits stall for the save.
+        let state = self.state();
+        let next_commit = state.next_commit;
+        let mut store = self.shared.store.write();
+        self.seal_locked(next_commit, &mut store);
+        let mut payload = Vec::new();
+        write_u64(&mut payload, self.base_seed);
+        write_u64(&mut payload, next_commit);
+        self.model.snapshot().encode(&mut payload);
+        store.encode(&mut payload);
         write_artifact(path, ArtifactKind::EngineSnapshot, &payload)?;
         let log = SealLog::create(&log_path(path))?;
         let mut slot = self.log.lock();

@@ -88,11 +88,6 @@ impl<'e, 'a> IngestSession<'e, 'a> {
         self.pushed
     }
 
-    /// Sequences buffered engine-wide but not yet dispatched for decode.
-    pub fn queued(&self) -> usize {
-        self.engine.state().queue.len()
-    }
-
     /// Ends the session: flushes the queue, seals the engine's store (the
     /// incremental per-shard merge), and returns how many sequences this
     /// session pushed. Sealing is an engine-wide barrier — sequences

@@ -384,3 +384,72 @@ fn corrupt_snapshots_fail_typed_never_panic() {
         Err(EngineError::Persist(_))
     ));
 }
+
+#[test]
+fn snapshots_taken_during_concurrent_seals_reopen_exactly() {
+    // Regression: `save_snapshot` dropped its locks after encoding, before
+    // writing the artifact and resetting the log. A seal in that window
+    // was replayed twice (logged as pending although the snapshot held
+    // it), lost (appended to the log the reset then discarded), or left a
+    // zero-filled gap that failed the reopen (appended through the old
+    // handle after the reset truncated the file).
+    const SESSIONS: u64 = 4;
+    const ROUNDS: usize = 20;
+    const SAVES: usize = 5;
+    let (space, stream) = setup();
+    // Short sequences keep each decode cheap, so seals land often.
+    let pieces: Vec<Vec<PositioningRecord>> = stream
+        .iter()
+        .flat_map(|(_, records)| records.chunks_exact(3).map(<[_]>::to_vec))
+        .collect();
+    let dir = test_dir("concurrent-save");
+    for round in 0..ROUNDS {
+        let path = dir.join(format!("round-{round}.ism"));
+        let live = engine(&space, 2);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(SESSIONS as usize + 1);
+        std::thread::scope(|scope| {
+            for session in 0..SESSIONS {
+                let (live, stop, start, pieces) = (&live, &stop, &start, &pieces);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut i = 0u64;
+                    while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                        let piece = (session * 7 + i) as usize % pieces.len();
+                        let mut s = live.ingest();
+                        // Repeated ids extend one entry, so a replayed
+                        // duplicate or a lost seal changes its content.
+                        s.push(session * 100 + i % 5, pieces[piece].clone());
+                        s.seal();
+                        i += 1;
+                    }
+                });
+            }
+            start.wait();
+            for _ in 0..SAVES {
+                // Let at least one seal land between two snapshots.
+                let before = live.sequences_committed();
+                while live.sequences_committed() == before {
+                    std::thread::yield_now();
+                }
+                live.save_snapshot(&path).unwrap();
+            }
+            stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        });
+        live.ingest().seal();
+        let (reopened, report) = EngineBuilder::new()
+            .threads(2)
+            .open(&path, &space)
+            .unwrap_or_else(|e| panic!("round {round}: reopen failed: {e}"));
+        assert_eq!(
+            report.next_sequence_index,
+            live.sequences_ingested(),
+            "round {round}"
+        );
+        assert_eq!(
+            shard_contents(&reopened),
+            shard_contents(&live),
+            "round {round}"
+        );
+    }
+}

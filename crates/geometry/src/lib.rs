@@ -26,14 +26,3 @@ pub use circle::{circle_polygon_area, circle_rect_intersection_area, Circle};
 pub use point::Point2;
 pub use polyline::{count_turns, is_turn, path_length};
 pub use rect::Rect;
-
-/// Numerical tolerance used by approximate comparisons in this crate.
-pub const EPSILON: f64 = 1e-9;
-
-/// Returns `true` when two floating point values are equal within [`EPSILON`]
-/// scaled by the magnitude of the operands.
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    (a - b).abs() <= EPSILON * scale
-}

@@ -5,11 +5,11 @@
 //!
 //! * an indoor venue decomposed into rectangular **partitions** (rooms,
 //!   hallway segments) connected by **doors** (following the decomposition
-//!   of Xie et al. [25]),
+//!   of Xie et al. \[25\]),
 //! * non-overlapping **semantic regions**, each a union of partitions
 //!   (shops, corridor stretches, staircases),
 //! * the **accessibility door graph** and the **minimum indoor walking
-//!   distance** (MIWD, Lu et al. [17]) with precomputed door-to-door
+//!   distance** (MIWD, Lu et al. \[17\]) with precomputed door-to-door
 //!   shortest paths,
 //! * expected region-to-region MIWD (the `E[d_I(p,q)]` term used by the
 //!   space-transition and spatial-consistency features),

@@ -94,12 +94,6 @@ impl Door {
             None
         }
     }
-
-    /// Location of the door opening as an [`IndoorPoint`] on the given side.
-    #[inline]
-    pub fn point_on(&self, floor: u16) -> IndoorPoint {
-        IndoorPoint::new(floor, self.position)
-    }
 }
 
 /// Category of a semantic region.

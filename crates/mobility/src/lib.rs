@@ -3,7 +3,7 @@
 //!
 //! The C2MN paper evaluates on (a) a proprietary Wi-Fi positioning dataset
 //! from a Hangzhou mall and (b) synthetic data produced by the (unreleased)
-//! Vita simulator [11]. This crate supplies both:
+//! Vita simulator \[11\]. This crate supplies both:
 //!
 //! * [`Simulator`] — random-waypoint movement over an
 //!   [`ism_indoor::IndoorSpace`]: objects repeatedly stay at a destination

@@ -134,16 +134,6 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Fraction of row visits served from cache (`0.0` when nothing ran).
-    pub fn reuse_rate(&self) -> f64 {
-        let total = self.rows_filled + self.rows_reused;
-        if total == 0 {
-            0.0
-        } else {
-            self.rows_reused as f64 / total as f64
-        }
-    }
-
     /// Adds another snapshot's counters into this one.
     pub fn merge(&mut self, other: &KernelStats) {
         self.rows_filled += other.rows_filled;

@@ -17,12 +17,12 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// Errors of store construction and maintenance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreError {
-    /// Two sharded builders/stores with different shard counts were
-    /// combined; objects would hash to different shards on each side.
+    /// A sharded store's shard count disagrees with the count it must
+    /// match; objects would hash to different shards on each side.
     ShardCountMismatch {
-        /// Shard count of the receiving side.
+        /// The shard count required.
         left: usize,
-        /// Shard count of the absorbed side.
+        /// The store's shard count.
         right: usize,
     },
 }
@@ -222,7 +222,7 @@ impl Shard {
 }
 
 /// A [`SemanticsStore`] split into `S` shards, each carrying a region→visit
-/// posting index bucketed by time (see [`crate::index`]).
+/// posting index bucketed by time (see the crate's `index` module).
 ///
 /// Objects are hashed whole into one shard by [`shard_of`], so per-shard
 /// partial answers of both top-k queries merge by plain summation. Queries
@@ -465,19 +465,14 @@ fn merge_counts<K: std::hash::Hash + Eq>(total: &mut HashMap<K, usize>, other: H
 /// Accumulates `(object, m-semantics)` entries into shard-partitioned parts
 /// and builds a [`ShardedSemanticsStore`].
 ///
-/// Parallel producers each fill their own builder (tagging entries with
-/// [`ShardedStoreBuilder::insert_at`] item indices), [`merge`] the partial
-/// builders, and [`build`] once: entries are re-ordered by their tags
-/// before indexing, so the result is identical to sequential insertion in
-/// tag order no matter which worker produced what.
-///
-/// [`merge`]: ShardedStoreBuilder::merge
-/// [`build`]: ShardedStoreBuilder::build
+/// Entries keep their insertion order within each shard, and duplicate
+/// object ids fold into one entry at build time, so the result equals
+/// [`SemanticsStore::insert`] over the same entries, sharded by
+/// [`shard_of`].
 #[derive(Debug, Clone)]
 #[must_use = "a builder does nothing until `build`/`build_with` finalises it"]
 pub struct ShardedStoreBuilder {
-    parts: Vec<Vec<TaggedEntry>>,
-    next_order: u64,
+    parts: Vec<Vec<(u64, Vec<MobilitySemantics>)>>,
 }
 
 impl Default for ShardedStoreBuilder {
@@ -487,15 +482,11 @@ impl Default for ShardedStoreBuilder {
     }
 }
 
-/// One builder entry: `(order tag, object, semantics)`.
-type TaggedEntry = (u64, u64, Vec<MobilitySemantics>);
-
 impl ShardedStoreBuilder {
     /// Creates a builder targeting `num_shards` shards (clamped to ≥ 1).
     pub fn new(num_shards: usize) -> Self {
         ShardedStoreBuilder {
             parts: vec![Vec::new(); num_shards.max(1)],
-            next_order: 0,
         }
     }
 
@@ -504,42 +495,12 @@ impl ShardedStoreBuilder {
         self.parts.len()
     }
 
-    /// Adds one entry with the next sequential order tag (single-producer
-    /// use; matches [`SemanticsStore::insert`] order semantics).
-    pub fn insert(&mut self, object_id: u64, semantics: Vec<MobilitySemantics>) {
-        let order = self.next_order;
-        self.next_order += 1;
-        self.insert_at(order, object_id, semantics);
-    }
-
-    /// Adds one entry tagged with an explicit `order` (parallel producers
-    /// tag with the item index they processed).
+    /// Adds one entry after every entry inserted so far (matches
+    /// [`SemanticsStore::insert`] order semantics).
     // analyzer: allow(lib-panic) `shard_of` returns a value below `parts.len()` by construction
-    pub fn insert_at(&mut self, order: u64, object_id: u64, semantics: Vec<MobilitySemantics>) {
+    pub fn insert(&mut self, object_id: u64, semantics: Vec<MobilitySemantics>) {
         let shard = shard_of(object_id, self.parts.len());
-        self.parts[shard].push((order, object_id, semantics));
-        self.next_order = self.next_order.max(order + 1);
-    }
-
-    /// Absorbs another builder's entries.
-    ///
-    /// Both builders must target the same shard count — objects hash to
-    /// shards by [`shard_of`]`(id, num_shards)`, so entries binned under a
-    /// different count would land in the wrong shard. A mismatch returns
-    /// [`StoreError::ShardCountMismatch`] and leaves `self` unchanged
-    /// (`other` is consumed either way).
-    pub fn merge(&mut self, other: ShardedStoreBuilder) -> Result<(), StoreError> {
-        if self.parts.len() != other.parts.len() {
-            return Err(StoreError::ShardCountMismatch {
-                left: self.parts.len(),
-                right: other.parts.len(),
-            });
-        }
-        for (into, from) in self.parts.iter_mut().zip(other.parts) {
-            into.extend(from);
-        }
-        self.next_order = self.next_order.max(other.next_order);
-        Ok(())
+        self.parts[shard].push((object_id, semantics));
     }
 
     /// Finalises into a sharded store, building shard indexes sequentially.
@@ -561,15 +522,13 @@ impl ShardedStoreBuilder {
         ShardedSemanticsStore { shards }
     }
 
-    /// Orders a shard's entries by tag and folds duplicate object ids into
-    /// one entry each (first occurrence wins the position, later semantics
-    /// extend it) — the same semantics as repeated
-    /// [`SemanticsStore::insert`] calls.
-    fn coalesce(mut part: Vec<TaggedEntry>) -> Vec<(u64, Vec<MobilitySemantics>)> {
-        part.sort_unstable_by_key(|(order, object, _)| (*order, *object));
+    /// Folds a shard's duplicate object ids into one entry each (first
+    /// occurrence wins the position, later semantics extend it) — the same
+    /// semantics as repeated [`SemanticsStore::insert`] calls.
+    fn coalesce(part: Vec<(u64, Vec<MobilitySemantics>)>) -> Vec<(u64, Vec<MobilitySemantics>)> {
         let mut objects: Vec<(u64, Vec<MobilitySemantics>)> = Vec::with_capacity(part.len());
         let mut by_id: HashMap<u64, usize> = HashMap::new();
-        for (_, object_id, semantics) in part {
+        for (object_id, semantics) in part {
             extend_or_push(&mut objects, &mut by_id, object_id, semantics);
         }
         objects
@@ -632,54 +591,6 @@ mod tests {
             seen.sort_unstable();
             assert_eq!(seen, (0..50).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn builder_order_tags_make_merge_order_unobservable() {
-        // Two producers splitting the items [0..20) arbitrarily must build
-        // the same store as sequential insertion, including duplicate
-        // folding, regardless of merge direction.
-        let semantics = |i: u64| vec![ms(i as u32 % 4, i as f64, i as f64 + 2.0)];
-        let object = |i: u64| i % 6; // duplicates across items
-        let sequential = {
-            let mut b = ShardedStoreBuilder::new(3);
-            for i in 0..20u64 {
-                b.insert_at(i, object(i), semantics(i));
-            }
-            b.build()
-        };
-        let mut a = ShardedStoreBuilder::new(3);
-        let mut b = ShardedStoreBuilder::new(3);
-        for i in 0..20u64 {
-            let target = if i % 3 == 0 { &mut a } else { &mut b };
-            target.insert_at(i, object(i), semantics(i));
-        }
-        b.merge(a).unwrap(); // reversed merge order on purpose
-        let merged = b.build();
-        for s in 0..3 {
-            let want: Vec<_> = sequential
-                .iter_shard(s)
-                .map(|(id, sem)| (id, sem.to_vec()))
-                .collect();
-            let got: Vec<_> = merged
-                .iter_shard(s)
-                .map(|(id, sem)| (id, sem.to_vec()))
-                .collect();
-            assert_eq!(got, want, "shard {s}");
-        }
-    }
-
-    #[test]
-    fn merge_with_mismatched_shard_counts_is_a_typed_error() {
-        let mut a = ShardedStoreBuilder::new(3);
-        a.insert(1, vec![ms(0, 0.0, 5.0)]);
-        let mut b = ShardedStoreBuilder::new(4);
-        b.insert(2, vec![ms(1, 0.0, 5.0)]);
-        let err = a.merge(b).unwrap_err();
-        assert_eq!(err, StoreError::ShardCountMismatch { left: 3, right: 4 });
-        assert!(err.to_string().contains("3-shard"));
-        // The receiving builder is unchanged by the failed merge.
-        assert_eq!(a.build().len(), 1);
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //!   runs ([`WorkerPool::run_with`]), so per-sweep buffers are allocated
 //!   once per participant instead of once per sequence.
 //!
+//! [`WorkerPool::map_reduce`] holds the pool's only claim loop. Ordered
+//! results come from it too: [`WorkerPool::run_with`] folds
+//! `(index, output)` pairs into per-participant accumulators and sorts
+//! them by index on return.
+//!
 //! Jobs may still borrow from the caller's stack even though the threads
 //! outlive the call: each blocking call erases its body's lifetime, hands
 //! it to the workers, and blocks on a completion latch until every
@@ -31,9 +36,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod pool;
-mod queue;
 mod stats;
 
 pub use pool::{AsyncTask, WorkerPool};
-pub use queue::SubmissionQueue;
 pub use stats::PoolStats;

@@ -21,10 +21,9 @@
 
 use crate::stats::{PoolStats, StatsCells};
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::mem::{self, MaybeUninit};
+use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -89,7 +88,7 @@ impl CallState {
 
     fn exit(&self) {
         // Release pairs with the Acquire load in `wait_quiescent`: every
-        // slot/accumulator write of this participant happens-before the
+        // accumulator write of this participant happens-before the
         // caller observing inflight == 0. Notify under the latch mutex so
         // a caller between its predicate check and `wait` cannot miss it.
         if self.inflight.fetch_sub(1, Ordering::Release) == 1 {
@@ -114,87 +113,6 @@ impl CallState {
 
     fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
         self.panic.lock().take()
-    }
-}
-
-/// A write-once result cell vector: one slot per item, written lock-free
-/// by whichever participant claims the item (exactly once, guaranteed by
-/// the claim counter) and read by the caller after quiescence.
-struct OnceSlots<T> {
-    slots: Box<[Slot<T>]>,
-}
-
-struct Slot<T> {
-    set: AtomicBool,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-// SAFETY: distinct slots are written by distinct participants (the claim
-// counter hands out each index exactly once), and a slot's value is only
-// read after its `set` flag is observed with Acquire ordering.
-unsafe impl<T: Send> Sync for OnceSlots<T> {}
-
-impl<T> OnceSlots<T> {
-    fn new(num_items: usize) -> Self {
-        OnceSlots {
-            slots: (0..num_items)
-                .map(|_| Slot {
-                    set: AtomicBool::new(false),
-                    value: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect(),
-        }
-    }
-
-    /// Writes slot `i`.
-    ///
-    /// # Safety
-    /// Each index must be written at most once — guaranteed by the
-    /// exactly-once claim counter.
-    // SAFETY: the claim counter in `run_with`'s participant body hands
-    // each index to exactly one participant, so the caller contract
-    // (one write per slot) holds at every call site in this crate.
-    // analyzer: allow(lib-panic) `i` comes from the claim counter, which stays below `slots.len()`
-    unsafe fn set(&self, i: usize, value: T) {
-        let slot = &self.slots[i];
-        debug_assert!(!slot.set.load(Ordering::Relaxed), "slot {i} written twice");
-        // SAFETY: this participant owns index `i` exclusively (caller
-        // contract above), so no concurrent access touches this cell;
-        // readers wait for the Release store of `set` below.
-        unsafe { (*slot.value.get()).write(value) };
-        slot.set.store(true, Ordering::Release);
-    }
-
-    /// Consumes the vector, returning all values in item order. Panics if
-    /// any slot was never written (only reachable after a job panicked,
-    /// in which case the caller resumes that panic instead).
-    fn into_vec(mut self) -> Vec<T> {
-        let slots = mem::take(&mut self.slots);
-        slots
-            .into_vec()
-            .into_iter()
-            .map(|slot| {
-                assert!(
-                    slot.set.load(Ordering::Acquire),
-                    "a participant filled every claimed slot"
-                );
-                // SAFETY: the flag says the value was written.
-                unsafe { slot.value.into_inner().assume_init() }
-            })
-            .collect()
-    }
-}
-
-impl<T> Drop for OnceSlots<T> {
-    fn drop(&mut self) {
-        // Only reached with slots still present when a panic unwound the
-        // call: drop the values that were written, skip the rest.
-        for slot in self.slots.iter_mut() {
-            if *slot.set.get_mut() {
-                // SAFETY: the flag says the value was written.
-                unsafe { slot.value.get_mut().assume_init_drop() };
-            }
-        }
     }
 }
 
@@ -440,54 +358,25 @@ impl WorkerPool {
     /// first item and reuses it across every item it processes — the hook
     /// for per-worker scratch buffers. Items are claimed dynamically
     /// (atomic counter), so uneven per-item costs balance across
-    /// participants; output order is still the item order. Results land in
-    /// write-once cells — the happy path takes no lock per item.
+    /// participants; output order is still the item order. This is
+    /// [`map_reduce`](WorkerPool::map_reduce) over per-participant
+    /// `(state, [(index, output)])` accumulators, sorted by index on
+    /// return.
     pub fn run_with<S, T, I, F>(&self, num_items: usize, init: I, job: F) -> Vec<T>
     where
+        S: Send,
         T: Send,
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> T + Sync,
     {
-        let helpers = self.helpers_for(num_items);
-        if helpers == 0 {
-            self.core.stats.inline_calls.fetch_add(1, Ordering::Relaxed);
-            let mut state = init();
-            return (0..num_items).map(|i| job(&mut state, i)).collect();
-        }
-        self.core.stats.fanout_calls.fetch_add(1, Ordering::Relaxed);
-
-        let slots = OnceSlots::new(num_items);
-        let call = Arc::new(CallState::new(num_items));
-        let body = {
-            let call = Arc::clone(&call);
-            let stats = Arc::clone(&self.core.stats);
-            let slots = &slots;
-            let init = &init;
-            let job = &job;
-            move || {
-                call.enter();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut state: Option<S> = None;
-                    loop {
-                        let i = call.next.fetch_add(1, Ordering::Relaxed);
-                        if i >= call.num_items {
-                            break;
-                        }
-                        stats.items_claimed.fetch_add(1, Ordering::Relaxed);
-                        let state = state.get_or_insert_with(init);
-                        // SAFETY: the claim counter hands out `i` exactly
-                        // once, so this slot is written exactly once.
-                        unsafe { slots.set(i, job(state, i)) };
-                    }
-                }));
-                if let Err(payload) = outcome {
-                    call.abort(payload);
-                }
-                call.exit();
-            }
-        };
-        self.fan_out(body, helpers, &call);
-        slots.into_vec()
+        let (_, mut tagged) = self.map_reduce(
+            num_items,
+            || (init(), Vec::new()),
+            |(state, out): &mut (S, Vec<(usize, T)>), i| out.push((i, job(state, i))),
+            |(_, total), (_, part)| total.extend(part),
+        );
+        tagged.sort_unstable_by_key(|&(i, _)| i);
+        tagged.into_iter().map(|(_, out)| out).collect()
     }
 
     /// Folds `0..num_items` into per-participant accumulators and reduces
@@ -505,7 +394,7 @@ impl WorkerPool {
     /// commutative monoid such as per-key count sums — or when the caller
     /// tags folded entries with their item index and restores order inside
     /// `reduce` (or after it). The map-reduce query engine does the
-    /// former; the parallel sharded-store builder does the latter.
+    /// former; [`run_with`](WorkerPool::run_with) does the latter.
     pub fn map_reduce<A, I, F, R>(&self, num_items: usize, init: I, fold: F, reduce: R) -> A
     where
         A: Send,

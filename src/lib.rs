@@ -132,5 +132,5 @@ pub mod prelude {
         QuerySet, SealSummary, SemanticsStore, ShardedSemanticsStore, ShardedStoreBuilder,
         StandingTkFrpq, StandingTkPrq, StoreError,
     };
-    pub use ism_runtime::{PoolStats, SubmissionQueue, WorkerPool};
+    pub use ism_runtime::{PoolStats, WorkerPool};
 }
