@@ -7,7 +7,7 @@
 //! * **Sharded engine** — [`ShardedSemanticsStore`] plus
 //!   [`tk_prq_sharded`] / [`tk_frpq_sharded`]: objects hashed into `S`
 //!   shards ([`shard_of`]), each shard holding a region→visit posting index
-//!   bucketed by time, query evaluation fanned out over an
+//!   sorted by time, query evaluation fanned out over an
 //!   [`ism_runtime::WorkerPool`] as a map-reduce (per-shard partial counts
 //!   merged by summation).
 //!
@@ -21,13 +21,14 @@
 //! The sharded store is **live**: streaming producers
 //! [`append`](ShardedSemanticsStore::append) entries into per-shard
 //! pending segments and [`seal`](ShardedSemanticsStore::seal) them into
-//! the posting indexes incrementally (only touched shards/regions rebuild,
-//! never the whole store) — the storage layer behind the `ism-engine`
-//! streaming ingestion API. `tests/incremental_oracle.rs` pins incremental
-//! growth equal to a from-scratch build. Posting lists are delta+varint
-//! **compressed** (see [`index`](crate) internals): starts are mapped to
-//! order-preserving bits and delta-chained per time bucket, so candidate
-//! scans decode sequentially without ever materialising raw postings.
+//! the posting indexes incrementally (a seal merges its new postings into
+//! the region lists they touch, never the whole store) — the storage layer
+//! behind the `ism-engine` streaming ingestion API.
+//! `tests/incremental_oracle.rs` pins incremental growth equal to a
+//! from-scratch build. Each region's postings are one raw list sorted by
+//! (start, end, object) and sized exactly to its length (see the `index`
+//! module), so a query binary-searches the postings that can overlap its
+//! interval and reads them in place.
 //!
 //! Three read paths share the sharded evaluation core:
 //!
@@ -56,7 +57,6 @@
 #![forbid(unsafe_code)]
 
 mod batch;
-mod codec;
 mod index;
 mod persist;
 mod standing;

@@ -3,8 +3,7 @@
 //! A store persists as its logical content: for every shard, the sealed
 //! `(object, m-semantics)` entries in shard order, then the pending
 //! (appended but unsealed) entries in append order. M-semantics runs go
-//! through the delta+varint codec in `ism-mobility` — the same
-//! ordered-bits/ZigZag conventions as the in-memory posting index.
+//! through the delta+varint codec in `ism-mobility`.
 //!
 //! The posting index itself is **not** serialized: [`Shard::build`]
 //! reconstructs it deterministically from the sealed objects on decode,

@@ -191,10 +191,11 @@ impl Shard {
     }
 
     /// Merges the pending segment into the sealed objects and posting
-    /// index. Only this shard is touched: the index absorbs the new
-    /// postings region by region ([`ShardIndex::append`]), and shards
-    /// without pending entries skip the call entirely. Returns how many
-    /// pending entries were merged and the visit postings they published.
+    /// index. Only this shard is touched: the index merges the new
+    /// postings into the region lists they land in
+    /// ([`ShardIndex::append`]), and shards without pending entries skip
+    /// the call entirely. Returns how many pending entries were merged and
+    /// the visit postings they published.
     fn seal(&mut self) -> (usize, Vec<(u64, RegionId, TimePeriod)>) {
         if self.pending.is_empty() {
             return (0, Vec::new());
@@ -222,7 +223,7 @@ impl Shard {
 }
 
 /// A [`SemanticsStore`] split into `S` shards, each carrying a region→visit
-/// posting index bucketed by time (see the crate's `index` module).
+/// posting index sorted by time (see the crate's `index` module).
 ///
 /// Objects are hashed whole into one shard by [`shard_of`], so per-shard
 /// partial answers of both top-k queries merge by plain summation. Queries
@@ -237,8 +238,8 @@ impl Shard {
 /// [`seal`](ShardedSemanticsStore::seal) /
 /// [`seal_with`](ShardedSemanticsStore::seal_with) merges them into the
 /// posting indexes incrementally — only the shards (and, within a shard,
-/// only the posting regions) that received entries are touched, never the
-/// full store. The `incremental_oracle` property suite pins a store grown
+/// only the region posting lists) that received entries are touched, never
+/// the full store. The `incremental_oracle` property suite pins a store grown
 /// by appends equal to one rebuilt from scratch.
 #[derive(Debug, Clone)]
 pub struct ShardedSemanticsStore {
@@ -288,8 +289,8 @@ impl ShardedSemanticsStore {
 
     /// Merges every shard's pending segment into its sealed objects and
     /// posting index, sequentially. Only shards with pending entries do any
-    /// work, and each rebuilds only the posting regions that received new
-    /// visits — never the whole store. Returns the number of entries
+    /// work, and each merges new visits only into the region posting lists
+    /// they touch — never the whole store. Returns the number of entries
     /// merged.
     pub fn seal(&mut self) -> usize {
         self.seal_summarized().merged
@@ -368,10 +369,12 @@ impl ShardedSemanticsStore {
         self.shards.iter().map(|s| s.index.num_postings()).sum()
     }
 
-    /// Total encoded bytes of the compressed posting lists (the raw
-    /// equivalent is 24 bytes per posting — compression diagnostics).
+    /// Bytes held by the posting index's lists: 24 per posting. Each list
+    /// is sized exactly at build and grows by exactly what a seal adds, so
+    /// this is the lists' real footprint (the region maps' own overhead is
+    /// not counted).
     pub fn index_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.index.encoded_bytes()).sum()
+        self.shards.iter().map(|s| s.index.posting_bytes()).sum()
     }
 
     /// Whether any region of `query` has at least one indexed posting in

@@ -1,5 +1,5 @@
-//! Edge-case property suite for the compressed, time-bucketed posting
-//! index: stay intervals landing exactly on bucket boundaries and the
+//! Edge-case property suite for the sorted per-region posting lists: stay
+//! intervals whose edges land exactly on query window edges and the
 //! `max_duration` candidate-range widening must never change results
 //! versus the flat sequential oracle, and batched evaluation must equal
 //! query-at-a-time evaluation.
@@ -16,9 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Parameters of one grid-aligned case: every start sits on an integer
-/// grid point, so with ≥ 16 postings per region many starts coincide with
-/// the equi-width bucket boundaries the index derives from them, and the
-/// query window edges land exactly on stored starts/ends.
+/// grid point, so many starts coincide with each other and with the
+/// candidate-range bounds the index binary-searches for, and the query
+/// window edges land exactly on stored starts/ends.
 #[derive(Debug, Clone, Copy)]
 struct Case {
     seed: u64,
@@ -79,8 +79,8 @@ fn grid_store(case: &Case) -> SemanticsStore {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Bucket-boundary starts/ends and widened candidate ranges never
-    /// change results: the compressed sharded index equals the flat scan,
+    /// Coinciding starts/ends and widened candidate ranges never change
+    /// results: the sharded index equals the flat scan,
     /// including query windows whose edges touch stored interval edges.
     #[test]
     fn grid_aligned_intervals_match_flat_oracle(case in arb_case()) {

@@ -29,8 +29,8 @@
 //!   variants.
 //! * [`baselines`] — SMoT, HMM+DC, SAPDV, SAPDA.
 //! * [`queries`] — TkPRQ / TkFRPQ top-k semantic queries: flat sequential
-//!   reference plus the sharded engine with delta+varint-compressed
-//!   time-bucket indexes, batched fan-out (`QueryBatch`) and standing
+//!   reference plus the sharded engine with per-region posting lists
+//!   sorted by time, batched fan-out (`QueryBatch`) and standing
 //!   queries folded forward from seal summaries.
 //! * [`engine`] — the unified streaming front-end: `SemanticsEngine` owns
 //!   model, worker pool, and a live sharded store; `IngestSession` streams
