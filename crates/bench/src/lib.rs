@@ -27,7 +27,7 @@ use ism_mobility::{
     merge_labels, Dataset, LabeledSequence, MobilityEvent, PositioningConfig, PositioningRecord,
     PreprocessConfig, SimulationConfig, TimePeriod,
 };
-use ism_queries::{tk_frpq_sharded, tk_prq_sharded, ShardedSemanticsStore, ShardedStoreBuilder};
+use ism_queries::{tk_frpq_sharded, tk_prq_sharded, ShardedSemanticsStore};
 use ism_runtime::WorkerPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -327,10 +327,10 @@ pub fn evaluate_accuracy(
 ///
 /// C2MN methods decode *and shard* in parallel
 /// ([`BatchAnnotator::annotate_into_store`] — no intermediate flat
-/// collection); closure baselines label sequentially and shard through a
-/// [`ShardedStoreBuilder`]. Both derive per-sequence RNGs from
-/// [`sequence_seed`]`(seed, i)` and tag entries with their item index, so
-/// the store content is independent of thread and shard count.
+/// collection); closure baselines label sequentially. Both derive
+/// per-sequence RNGs from [`sequence_seed`]`(seed, i)`, append in item
+/// order and seal once, so the store content is independent of thread and
+/// shard count.
 pub fn annotate_store(
     method: &Method<'_>,
     test: &[LabeledSequence],
@@ -349,12 +349,13 @@ pub fn annotate_store(
         }
         LabelerKind::PerSequence(_) => {
             let all_labels = method.label_all(&sequences, seed);
-            let mut builder = ShardedStoreBuilder::new(shards);
+            let mut store = ShardedSemanticsStore::new(shards);
             for ((records, labels), seq) in sequences.iter().zip(&all_labels).zip(test) {
                 let times: Vec<f64> = records.iter().map(|r| r.t).collect();
-                builder.insert(seq.object_id, merge_labels(&times, labels));
+                store.append(seq.object_id, merge_labels(&times, labels));
             }
-            builder.build()
+            store.seal();
+            store
         }
     }
 }
@@ -362,13 +363,14 @@ pub fn annotate_store(
 /// Ground-truth store from the test labels themselves, sharded like
 /// [`annotate_store`] output.
 pub fn truth_store(test: &[LabeledSequence], shards: usize) -> ShardedSemanticsStore {
-    let mut builder = ShardedStoreBuilder::new(shards);
+    let mut store = ShardedSemanticsStore::new(shards);
     for seq in test {
         let times: Vec<f64> = seq.records.iter().map(|r| r.record.t).collect();
         let labels: Vec<(RegionId, MobilityEvent)> = seq.truth_labels().collect();
-        builder.insert(seq.object_id, merge_labels(&times, &labels));
+        store.append(seq.object_id, merge_labels(&times, &labels));
     }
-    builder.build()
+    store.seal();
+    store
 }
 
 /// Average TkPRQ and TkFRPQ precision of a store against the ground truth

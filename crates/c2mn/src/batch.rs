@@ -28,7 +28,7 @@ use crate::model::DecodeScratch;
 use crate::C2mn;
 use ism_indoor::RegionId;
 use ism_mobility::{MobilityEvent, MobilitySemantics, PositioningRecord};
-use ism_queries::{ShardedSemanticsStore, ShardedStoreBuilder};
+use ism_queries::ShardedSemanticsStore;
 use ism_runtime::WorkerPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -164,8 +164,9 @@ impl<'m, 'a> BatchAnnotator<'m, 'a> {
 
     /// Annotates the batch into a sharded semantics store:
     /// [`annotate_batch`](BatchAnnotator::annotate_batch), then in-order
-    /// [`ShardedStoreBuilder::insert`], then shard indexes built in
-    /// parallel on the annotator's pool.
+    /// [`ShardedSemanticsStore::append`], then one
+    /// [`seal_with`](ShardedSemanticsStore::seal_with) on the annotator's
+    /// pool.
     ///
     /// `object_ids[i]` is the object owning `sequences[i]`; repeated ids
     /// (e.g. one object's chunked sub-sequences) extend a single store
@@ -182,11 +183,12 @@ impl<'m, 'a> BatchAnnotator<'m, 'a> {
             object_ids.len(),
             "one object id per sequence"
         );
-        let mut builder = ShardedStoreBuilder::new(num_shards);
+        let mut store = ShardedSemanticsStore::new(num_shards);
         for (&object_id, semantics) in object_ids.iter().zip(self.annotate_batch(sequences)) {
-            builder.insert(object_id, semantics);
+            store.append(object_id, semantics);
         }
-        builder.build_with(&self.pool)
+        store.seal_with(&self.pool);
+        store
     }
 }
 
@@ -260,11 +262,12 @@ mod tests {
         let object_ids: Vec<u64> = (0..sequences.len() as u64).map(|i| i % 4).collect();
         let reference = {
             let engine = BatchAnnotator::new(&model, 1, 21);
-            let mut builder = ShardedStoreBuilder::new(3);
+            let mut store = ShardedSemanticsStore::new(3);
             for (id, semantics) in object_ids.iter().zip(engine.annotate_batch(&sequences)) {
-                builder.insert(*id, semantics);
+                store.append(*id, semantics);
             }
-            builder.build()
+            store.seal();
+            store
         };
         for threads in [1, 2, 4] {
             let engine = BatchAnnotator::new(&model, threads, 21);

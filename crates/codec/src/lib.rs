@@ -13,8 +13,7 @@
 //! * **Primitives** — little-endian fixed-width integers for values that
 //!   must round-trip bit-exactly (`f64` weights, seeds), LEB128 varints for
 //!   counts and ids, ZigZag for signed deltas, and the order-preserving
-//!   [`ordered_bits`] f64 mapping — the same conventions proven by the
-//!   compressed posting codec in `ism-queries`.
+//!   [`ordered_bits`] f64 mapping.
 //! * **Artifacts** — every persisted file starts with an 8-byte header:
 //!   magic `b"ISMB"`, a little-endian `u16` format version, and a one-byte
 //!   [`ArtifactKind`]. Readers reject unknown magic, newer versions, and

@@ -4,7 +4,7 @@
 //! The paper's pipeline — decode p-sequences into m-semantics, accumulate
 //! them per object, serve TkPRQ/TkFRPQ — used to be exposed as
 //! disconnected pieces the caller wired by hand (`C2mn::train` →
-//! `BatchAnnotator` → `ShardedStoreBuilder` → free query functions, each
+//! `BatchAnnotator::annotate_into_store` → free query functions, each
 //! taking its own `WorkerPool`), and ingestion was strictly offline. This
 //! crate redesigns that surface around one owning type:
 //!
@@ -793,8 +793,10 @@ impl<'a> SemanticsEngine<'a> {
     }
 
     /// Seals the store's pending segments on the engine's pool, then feeds
-    /// the seal's summary to the result cache (evicting entries whose
-    /// regions the seal touched) and to every registered standing query.
+    /// what they published ([`ShardedSemanticsStore::pending_summary`],
+    /// read just before the seal) to the result cache (evicting entries
+    /// whose regions the seal touched) and to every registered standing
+    /// query.
     /// If a seal log is attached, the pending entries are appended to it
     /// as one frame *before* the merge, so a crash after this call loses
     /// nothing (see the `persist` module docs).
@@ -818,10 +820,12 @@ impl<'a> SemanticsEngine<'a> {
     /// that holds the store write guard and read `next_commit` under the
     /// state lock it took that guard in.
     pub(crate) fn seal_locked(&self, next_commit: u64, store: &mut ShardedSemanticsStore) {
-        if store.num_pending() > 0 {
-            self.log_seal(next_commit, store);
+        if store.num_pending() == 0 {
+            return;
         }
-        let summary = store.seal_summarized_with(&self.pool);
+        self.log_seal(next_commit, store);
+        let summary = store.pending_summary();
+        store.seal_with(&self.pool);
         if summary.new_stays.is_empty() {
             return;
         }

@@ -46,11 +46,11 @@ use crate::{EngineBuilder, EngineError, SemanticsEngine};
 use ism_c2mn::{C2mn, ModelSnapshot};
 use ism_codec::{
     append_frame, read_artifact, read_header, write_artifact, write_header, write_u64,
-    write_varint, ArtifactKind, CodecError, Decode, Encode, FrameIter, PersistError, Reader,
-    FRAME_OVERHEAD, HEADER_LEN,
+    ArtifactKind, CodecError, Decode, Encode, FrameIter, PersistError, Reader, FRAME_OVERHEAD,
+    HEADER_LEN,
 };
 use ism_indoor::IndoorSpace;
-use ism_mobility::{decode_semantics_run, encode_semantics_run, MobilitySemantics};
+use ism_mobility::MobilitySemantics;
 use ism_queries::ShardedSemanticsStore;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -143,22 +143,15 @@ impl SealLog {
     }
 }
 
-/// One seal frame: the commit index the seal extends to, then per shard
-/// the pending entries being published, in shard-internal append order —
-/// exactly the order a replay must re-append them in for the merged store
-/// to stay byte-identical.
+/// One seal frame: the commit index the seal extends to, then the store's
+/// pending segments ([`ShardedSemanticsStore::encode_pending`]): per
+/// shard, the entries being published in append order — exactly the order
+/// a replay must re-append them in for the merged store to stay
+/// byte-identical.
 fn encode_seal_payload(next_commit: u64, store: &ShardedSemanticsStore) -> Vec<u8> {
     let mut out = Vec::new();
     write_u64(&mut out, next_commit);
-    write_varint(&mut out, store.num_shards() as u64);
-    for s in 0..store.num_shards() {
-        let entries: Vec<(u64, &[MobilitySemantics])> = store.pending_of_shard(s).collect();
-        write_varint(&mut out, entries.len() as u64);
-        for (object_id, semantics) in entries {
-            write_varint(&mut out, object_id);
-            encode_semantics_run(&mut out, semantics);
-        }
-    }
+    store.encode_pending(&mut out);
     out
 }
 
@@ -174,22 +167,7 @@ fn decode_seal_payload(
 ) -> Result<(u64, SealEntries), CodecError> {
     let mut r = Reader::new(payload);
     let next_commit = r.u64()?;
-    let shards = r.count_prefix(1)?;
-    if shards != num_shards {
-        return Err(CodecError::InvalidValue {
-            what: "seal-log shard count disagrees with the snapshot",
-        });
-    }
-    let mut entries = Vec::new();
-    for _ in 0..shards {
-        let count = r.count_prefix(2)?;
-        entries.reserve(count);
-        for _ in 0..count {
-            let object_id = r.varint()?;
-            let semantics = decode_semantics_run(&mut r)?;
-            entries.push((object_id, semantics));
-        }
-    }
+    let entries = ShardedSemanticsStore::decode_pending(&mut r, num_shards)?;
     r.finish()?;
     Ok((next_commit, entries))
 }
@@ -365,5 +343,60 @@ impl EngineBuilder {
             error: None,
         };
         Ok((engine, report))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ism_indoor::RegionId;
+    use ism_mobility::{MobilityEvent, TimePeriod};
+
+    fn ms(region: u32, start: f64, end: f64, event: MobilityEvent) -> MobilitySemantics {
+        MobilitySemantics {
+            region: RegionId(region),
+            period: TimePeriod::new(start, end),
+            event,
+        }
+    }
+
+    /// A three-shard store with one sealed entry and four pending ones,
+    /// two of them appends for the same object.
+    fn store_with_pending() -> ShardedSemanticsStore {
+        use MobilityEvent::{Pass, Stay};
+        let mut store = ShardedSemanticsStore::new(3);
+        store.append(3, vec![ms(1, 0.0, 5.0, Stay)]);
+        store.seal();
+        store.append(1, vec![ms(4, 0.5, 12.25, Stay), ms(7, 12.25, 13.0, Pass)]);
+        store.append(42, vec![ms(2, 100.0, 160.5, Stay)]);
+        store.append(3, vec![ms(0, 7.0, 9.5, Pass)]);
+        store.append(1, vec![ms(4, 20.0, 31.75, Stay)]);
+        store
+    }
+
+    /// One seal frame's payload, byte for byte: the commit index, then
+    /// every shard's pending entries. The frame envelope around it is
+    /// pinned by `ism-codec`'s `format_pins`; this pins what is inside.
+    #[test]
+    fn seal_payload_bytes_are_pinned() {
+        let store = store_with_pending();
+        let payload = encode_seal_payload(5, &store);
+        let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "0500000000000000030103010000000000001cc080808080808080070001012a",
+                "0100000000000059c0808080808080880b0200020102000000000000e0bf8080",
+                "80808080c0480400808080808080c048808080808080c0010701010100000000",
+                "000034c0808080808080e00b0400",
+            )
+        );
+        let (next_commit, entries) = decode_seal_payload(&payload, 3).unwrap();
+        assert_eq!(next_commit, 5);
+        let pending: SealEntries = (0..3)
+            .flat_map(|s| store.pending_of_shard(s))
+            .map(|(id, semantics)| (id, semantics.to_vec()))
+            .collect();
+        assert_eq!(entries, pending);
     }
 }

@@ -1,4 +1,4 @@
-//! Evaluation metrics and data-splitting utilities (§V-A).
+//! Evaluation metrics (§V-A).
 //!
 //! * **RA / EA** — region / event labeling accuracy (fraction of records
 //!   whose region / event label is correct),
@@ -6,15 +6,13 @@
 //!   `λ = 0.7`),
 //! * **PA** — perfect accuracy (both labels correct),
 //! * **top-k precision** — fraction of true top-k results returned by a
-//!   top-k query,
-//! * train/test splitting and k-fold cross-validation index generation.
+//!   top-k query.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 use ism_indoor::RegionId;
 use ism_mobility::MobilityEvent;
-use rand::Rng;
 
 /// The paper's trade-off parameter for combined accuracy.
 pub const PAPER_LAMBDA: f64 = 0.7;
@@ -103,27 +101,9 @@ pub fn top_k_precision<T: PartialEq>(returned: &[T], truth: &[T]) -> f64 {
     hits as f64 / truth.len() as f64
 }
 
-/// Generates k-fold cross-validation folds: a permutation of `0..n` split
-/// into `k` near-equal chunks.
-pub fn k_fold_indices<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Vec<Vec<usize>> {
-    assert!(k >= 2, "need at least two folds");
-    let mut idx: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = rng.random_range(0..=i);
-        idx.swap(i, j);
-    }
-    let mut folds: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (pos, i) in idx.into_iter().enumerate() {
-        folds[pos % k].push(i);
-    }
-    folds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use MobilityEvent::{Pass, Stay};
 
     fn r(i: u32) -> RegionId {
@@ -247,18 +227,5 @@ mod tests {
         let ca = m.combined(PAPER_LAMBDA);
         assert!((ca - (0.7 * 0.8 + 0.3 * 0.2)).abs() < 1e-12);
         assert!((ca - m.region).abs() < (ca - m.event).abs());
-    }
-
-    #[test]
-    fn k_folds_partition() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let folds = k_fold_indices(23, 5, &mut rng);
-        assert_eq!(folds.len(), 5);
-        let mut all: Vec<usize> = folds.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..23).collect::<Vec<_>>());
-        for f in &folds {
-            assert!((4..=5).contains(&f.len()));
-        }
     }
 }

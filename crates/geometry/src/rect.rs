@@ -90,15 +90,6 @@ impl Rect {
         }
     }
 
-    /// Whether the interiors overlap with strictly positive area.
-    #[inline]
-    pub fn overlaps_interior(&self, other: &Rect) -> bool {
-        self.min.x < other.max.x
-            && other.min.x < self.max.x
-            && self.min.y < other.max.y
-            && other.min.y < self.max.y
-    }
-
     /// Smallest rectangle containing both operands.
     #[inline]
     pub fn union(&self, other: &Rect) -> Rect {
@@ -197,7 +188,6 @@ mod tests {
         // Touching rectangles intersect with zero-area result.
         let d = r(2.0, 0.0, 3.0, 2.0);
         assert!(a.intersects(&d));
-        assert!(!a.overlaps_interior(&d));
         assert_eq!(a.intersection(&d).unwrap().area(), 0.0);
     }
 

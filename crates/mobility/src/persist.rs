@@ -2,11 +2,10 @@
 //! semantics-run codec shared by the store snapshot and the engine's seal
 //! log.
 //!
-//! A run of [`MobilitySemantics`] is time-ordered, so it compresses the
-//! same way the query-side posting codec does: the first start time is an
-//! absolute [`ordered_bits`] pattern, subsequent starts are ZigZag varint
-//! deltas in ordered-bits space, and each end encodes as a ZigZag offset
-//! from its own start. Regions and event tags follow as varint / byte.
+//! A run of [`MobilitySemantics`] is time-ordered, so it compresses as
+//! deltas: the first start time is an absolute [`ordered_bits`] pattern,
+//! subsequent starts are ZigZag varint deltas in ordered-bits space, and
+//! each end encodes as a ZigZag offset from its own start. Regions and event tags follow as varint / byte.
 //! Encode → decode is the identity on every finite (and non-finite)
 //! timestamp — deltas use wrapping arithmetic on the bit patterns, so no
 //! input ordering is assumed.
@@ -48,8 +47,8 @@ impl Decode for TimePeriod {
         let start = f64::decode(r)?;
         let end = f64::decode(r)?;
         // Construct directly: decode must round-trip every bit pattern the
-        // writer can produce, including the `end = -0.0, start = 0.0` edge
-        // the posting codec documents.
+        // writer can produce, including a period with `start = 0.0` and
+        // `end = -0.0`.
         Ok(TimePeriod { start, end })
     }
 }

@@ -5,9 +5,6 @@
 //!
 //! * [`hmm`] — discrete hidden Markov models with counting-based estimation
 //!   and Viterbi decoding (the paper's HMM+DC and SAP baselines),
-//! * [`chain_crf`] — a linear-chain conditional random field trained by
-//!   exact forward–backward gradients with L-BFGS (the classic CMN of
-//!   §II-B; also used to sanity-check the learning stack),
 //! * [`gibbs`] — Markov-blanket samplers over a [`ConditionalModel`]:
 //!   Gibbs sweeps (annealed through an [`AnnealSchedule`]) and iterated
 //!   conditional modes (ICM), the inference workhorses of C2MN's
@@ -22,12 +19,10 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod chain_crf;
 pub mod gibbs;
 pub mod hmm;
 pub mod util;
 
-pub use chain_crf::{ChainCrf, ChainCrfConfig};
 pub use gibbs::{
     gibbs_sweep, gibbs_sweep_cached, gibbs_sweep_with, icm_sweep, icm_sweep_cached, kernel_stats,
     note_pairwise_table_bytes, AnnealSchedule, ConditionalModel, KernelStats, SweepCache,

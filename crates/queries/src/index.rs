@@ -90,22 +90,14 @@ pub(crate) struct ShardIndex {
 }
 
 impl ShardIndex {
-    /// Inverts a shard's `(object, m-semantics)` entries into per-region
-    /// posting lists.
-    pub fn build(objects: &[(u64, Vec<MobilitySemantics>)]) -> Self {
-        let mut index = ShardIndex::default();
-        index.append(objects);
-        index
-    }
-
-    /// Merges the stays of additional `(object, m-semantics)` entries into
-    /// the index without touching regions that receive no new posting.
+    /// Merges the stays of `(object, m-semantics)` entries into the index
+    /// without touching regions that receive no new posting.
     ///
     /// Each touched region sorts its new postings and merges them into its
     /// list ([`RegionPostings::merge`]). The list order is total, so an
     /// index grown by any sequence of `append` calls is identical, posting
-    /// for posting, to one [`build`](ShardIndex::build)ed from scratch over
-    /// the concatenated entries — the incremental-maintenance contract the
+    /// for posting, to one filled by a single `append` of the concatenated
+    /// entries — the incremental-maintenance contract the
     /// `incremental_oracle` property suite pins.
     pub fn append(&mut self, objects: &[(u64, Vec<MobilitySemantics>)]) {
         let mut fresh: HashMap<RegionId, Vec<Posting>> = HashMap::new();
@@ -316,7 +308,7 @@ mod tests {
     #[test]
     fn append_matches_from_scratch_build() {
         // Entries split across three appends must index exactly like one
-        // build over the concatenation: the same regions, each holding the
+        // append of the concatenation: the same regions, each holding the
         // same postings in the same order with the same time bits, the same
         // max_duration, and lists sized exactly to their length.
         let entry = |object: u64, region: u32, start: f64, stay: bool| {
@@ -336,8 +328,10 @@ mod tests {
         let all: Vec<(u64, Vec<MobilitySemantics>)> = (0..60)
             .map(|i| entry(i, (i % 4) as u32, (i as f64 * 11.0) % 300.0, i % 5 != 0))
             .collect();
-        let reference = ShardIndex::build(&all);
-        let mut grown = ShardIndex::build(&all[..20]);
+        let mut reference = ShardIndex::default();
+        reference.append(&all);
+        let mut grown = ShardIndex::default();
+        grown.append(&all[..20]);
         grown.append(&all[20..35]);
         grown.append(&all[35..35]); // empty append is a no-op
         grown.append(&all[35..]);
@@ -387,7 +381,8 @@ mod tests {
                 },
             ],
         )];
-        let index = ShardIndex::build(&entries);
+        let mut index = ShardIndex::default();
+        index.append(&entries);
         assert!(index.has_region(RegionId(0)));
         assert!(!index.has_region(RegionId(1))); // pass-only region
         assert!(!index.has_region(RegionId(9)));

@@ -18,14 +18,16 @@
 //! * **TkFRPQ** — the `k` region pairs most frequently visited by the same
 //!   object.
 //!
-//! The sharded store is **live**: streaming producers
+//! The sharded store is **live**: producers
 //! [`append`](ShardedSemanticsStore::append) entries into per-shard
 //! pending segments and [`seal`](ShardedSemanticsStore::seal) them into
 //! the posting indexes incrementally (a seal merges its new postings into
 //! the region lists they touch, never the whole store) — the storage layer
-//! behind the `ism-engine` streaming ingestion API.
-//! `tests/incremental_oracle.rs` pins incremental growth equal to a
-//! from-scratch build. Each region's postings are one raw list sorted by
+//! behind the `ism-engine` streaming ingestion API. Append, then seal, is
+//! the only way to fill a store; [`ShardedSemanticsStore::from_store`],
+//! the batch annotator and snapshot decode all go through it.
+//! `tests/incremental_oracle.rs` pins any append/seal interleaving equal
+//! to the flat reference. Each region's postings are one raw list sorted by
 //! (start, end, object) and sized exactly to its length (see the `index`
 //! module), so a query binary-searches the postings that can overlap its
 //! interval and reads them in place.
@@ -42,7 +44,9 @@
 //!   thread.
 //! * **Standing** — [`StandingTkPrq`] / [`StandingTkFrpq`]: registered
 //!   once, then folded forward incrementally from each seal's
-//!   [`SealSummary`], byte-identical at every seal to a full re-run.
+//!   [`SealSummary`] (read by
+//!   [`pending_summary`](ShardedSemanticsStore::pending_summary) before
+//!   the seal), byte-identical at every seal to a full re-run.
 //!
 //! ## Determinism contract
 //!
@@ -66,8 +70,7 @@ mod topk;
 pub use batch::{QueryAnswer, QueryBatch};
 pub use standing::{StandingTkFrpq, StandingTkPrq};
 pub use store::{
-    shard_of, SealSummary, SemanticsStore, ShardedSemanticsStore, ShardedStoreBuilder, StoreError,
-    DEFAULT_SHARDS,
+    shard_of, SealSummary, SemanticsStore, ShardedSemanticsStore, StoreError, DEFAULT_SHARDS,
 };
 pub use topk::{tk_frpq, tk_frpq_sharded, tk_prq, tk_prq_sharded, QuerySet};
 

@@ -5,7 +5,9 @@
 //! re-pays the full index scan for data that barely changed. A standing
 //! query instead keeps the *full count state* its ranking derives from and
 //! folds in exactly the visit postings each seal publishes
-//! ([`SealSummary::new_stays`](crate::SealSummary)):
+//! ([`SealSummary::new_stays`](crate::SealSummary), read by
+//! [`pending_summary`](crate::ShardedSemanticsStore::pending_summary)
+//! just before the seal):
 //!
 //! * [`StandingTkPrq`] — per-region visit counts; a new qualifying stay
 //!   increments one counter.
@@ -75,22 +77,6 @@ impl StandingTkPrq {
     /// [`tk_prq_sharded`](crate::tk_prq_sharded) over the sealed store.
     pub fn result(&self) -> Vec<(RegionId, usize)> {
         rank(self.counts.clone(), self.k)
-    }
-
-    /// The ranking size this query maintains.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The query time interval.
-    pub fn qt(&self) -> TimePeriod {
-        self.qt
-    }
-
-    /// Whether any of `regions` is in this query's region set (the
-    /// relevance test seal hooks use).
-    pub fn intersects(&self, regions: &[RegionId]) -> bool {
-        regions.iter().any(|&r| self.query.contains(r))
     }
 }
 
@@ -179,21 +165,6 @@ impl StandingTkFrpq {
     pub fn result(&self) -> Vec<((RegionId, RegionId), usize)> {
         rank(self.pair_counts.clone(), self.k)
     }
-
-    /// The ranking size this query maintains.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The query time interval.
-    pub fn qt(&self) -> TimePeriod {
-        self.qt
-    }
-
-    /// Whether any of `regions` is in this query's region set.
-    pub fn intersects(&self, regions: &[RegionId]) -> bool {
-        regions.iter().any(|&r| self.query.contains(r))
-    }
 }
 
 #[cfg(test)]
@@ -237,8 +208,6 @@ mod tests {
         let mut frpq = StandingTkFrpq::new(&query, 3, qt, &store, &pool);
         assert_eq!(prq.result(), tk_prq_sharded(&store, &query, 3, qt, &pool));
         assert_eq!(frpq.result(), tk_frpq_sharded(&store, &query, 3, qt, &pool));
-        assert_eq!(prq.k(), 3);
-        assert_eq!(frpq.qt(), qt);
         // Grow in three waves, checking after each seal; waves mix stays,
         // passes, repeat visits and out-of-window periods.
         for wave in 0..3u64 {
@@ -248,8 +217,8 @@ mod tests {
                 let start = 30.0 + (wave * 12 + i) as f64 * 31.0;
                 store.append(object, vec![ms(region, start, start + 25.0, i % 4 != 0)]);
             }
-            let summary = store.seal_summarized();
-            assert!(summary.merged > 0);
+            let summary = store.pending_summary();
+            assert!(store.seal() > 0);
             prq.observe_seal(&summary);
             frpq.observe_seal(&summary);
             assert_eq!(
@@ -263,8 +232,5 @@ mod tests {
                 "wave {wave} frpq"
             );
         }
-        assert!(prq.intersects(&[RegionId(2)]));
-        assert!(!prq.intersects(&[RegionId(9)]));
-        assert!(frpq.intersects(&[RegionId(0), RegionId(9)]));
     }
 }

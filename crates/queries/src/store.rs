@@ -4,6 +4,7 @@
 use ism_indoor::RegionId;
 use ism_mobility::{MobilityEvent, MobilitySemantics, TimePeriod};
 use ism_runtime::WorkerPool;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -40,7 +41,8 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// What one [`seal`](ShardedSemanticsStore::seal_summarized) published.
+/// What the next seal will publish, read from the pending segments by
+/// [`pending_summary`](ShardedSemanticsStore::pending_summary).
 ///
 /// The summary is the seal hook consumers build on: `new_stays` is the
 /// exact posting feed a standing query folds in to stay byte-identical to
@@ -49,32 +51,12 @@ impl std::error::Error for StoreError {}
 /// query regions are disjoint from every touched region.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SealSummary {
-    /// Pending entries merged into the sealed objects.
-    pub merged: usize,
-    /// Every newly published visit posting `(object, region, stay
-    /// interval)`, in shard order (pending order within a shard).
+    /// Every visit posting `(object, region, stay interval)` the seal
+    /// publishes, in shard order (pending order within a shard).
     pub new_stays: Vec<(u64, RegionId, TimePeriod)>,
-    /// The distinct regions that received at least one new posting,
+    /// The distinct regions that receive at least one new posting,
     /// ascending.
     pub touched_regions: Vec<RegionId>,
-}
-
-/// One shard's seal contribution: `(merged count, new stay postings)`.
-type SealPart = (usize, Vec<(u64, RegionId, TimePeriod)>);
-
-impl SealSummary {
-    fn from_parts(parts: Vec<SealPart>) -> Self {
-        let mut summary = SealSummary::default();
-        for (merged, stays) in parts {
-            summary.merged += merged;
-            summary.new_stays.extend(stays);
-        }
-        let mut touched: Vec<RegionId> = summary.new_stays.iter().map(|&(_, r, _)| r).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        summary.touched_regions = touched;
-        summary
-    }
 }
 
 /// M-semantics of a set of objects, the input to the semantic queries.
@@ -134,34 +116,13 @@ impl SemanticsStore {
 ///
 /// SplitMix64-style finalisation of the object id, reduced modulo the shard
 /// count: deterministic, stable across runs and platforms, and part of the
-/// public contract so external builders ([`ShardedStoreBuilder`], the batch
-/// annotation engine) place objects identically.
+/// public contract so callers can tell which shard holds an object.
 pub fn shard_of(object_id: u64, num_shards: usize) -> usize {
     let mut z = object_id.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
     (z % num_shards.max(1) as u64) as usize
-}
-
-/// Runs `job` on each of `items` over `pool`, returning the outputs in
-/// item order. `run` hands workers shared references, so each item travels
-/// to its worker through a take-once mutex slot.
-pub(crate) fn run_owned<T, U, F>(pool: &WorkerPool, items: Vec<T>, job: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let slots: Vec<parking_lot::Mutex<Option<T>>> = items
-        .into_iter()
-        .map(|item| parking_lot::Mutex::new(Some(item)))
-        .collect();
-    // analyzer: allow(lib-panic) `run` hands out `i < slots.len()`, each exactly once — the take-once slot holds by the same claim
-    pool.run(slots.len(), |i| {
-        let item = slots[i].lock().take().expect("each item taken once");
-        job(item)
-    })
 }
 
 /// One shard: its sealed objects, the region→visit posting index over
@@ -175,46 +136,20 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn build(objects: Vec<(u64, Vec<MobilitySemantics>)>) -> Self {
-        let index = ShardIndex::build(&objects);
-        let by_id = objects
-            .iter()
-            .enumerate()
-            .map(|(i, (id, _))| (*id, i))
-            .collect();
-        Shard {
-            objects,
-            by_id,
-            index,
-            pending: Vec::new(),
-        }
-    }
-
     /// Merges the pending segment into the sealed objects and posting
     /// index. Only this shard is touched: the index merges the new
     /// postings into the region lists they land in
-    /// ([`ShardIndex::append`]), and shards without pending entries skip
-    /// the call entirely. Returns how many pending entries were merged and
-    /// the visit postings they published.
-    fn seal(&mut self) -> (usize, Vec<(u64, RegionId, TimePeriod)>) {
-        if self.pending.is_empty() {
-            return (0, Vec::new());
-        }
+    /// ([`ShardIndex::append`]).
+    fn seal(&mut self) {
         let pending = std::mem::take(&mut self.pending);
-        let mut stays = Vec::new();
-        for (object, semantics) in &pending {
-            for ms in semantics {
-                if ms.event == MobilityEvent::Stay {
-                    stays.push((*object, ms.region, ms.period));
-                }
-            }
-        }
         self.index.append(&pending);
-        let n = pending.len();
+        // Sized once, so a shard filled by one seal (`from_store`, a
+        // decoded snapshot) holds exactly sized tables.
+        self.objects.reserve(pending.len());
+        self.by_id.reserve(pending.len());
         for (object_id, semantics) in pending {
             extend_or_push(&mut self.objects, &mut self.by_id, object_id, semantics);
         }
-        (n, stays)
     }
 
     pub fn index(&self) -> &ShardIndex {
@@ -239,8 +174,11 @@ impl Shard {
 /// [`seal_with`](ShardedSemanticsStore::seal_with) merges them into the
 /// posting indexes incrementally — only the shards (and, within a shard,
 /// only the region posting lists) that received entries are touched, never
-/// the full store. The `incremental_oracle` property suite pins a store grown
-/// by appends equal to one rebuilt from scratch.
+/// the full store. This is the only way to fill a store: `from_store`, the
+/// batch annotator and snapshot decode all append, then seal. The
+/// `incremental_oracle` property suite pins a store grown by any
+/// append/seal interleaving equal to the flat reference over the same
+/// entries.
 #[derive(Debug, Clone)]
 pub struct ShardedSemanticsStore {
     pub(crate) shards: Vec<Shard>,
@@ -256,14 +194,16 @@ impl ShardedSemanticsStore {
         }
     }
 
-    /// Shards a flat store. Object order within each shard follows the flat
-    /// store's insertion order.
+    /// Shards a flat store: appends every entry in the flat store's order,
+    /// then seals. Object order within each shard follows the flat store's
+    /// insertion order.
     pub fn from_store(store: &SemanticsStore, num_shards: usize) -> Self {
-        let mut builder = ShardedStoreBuilder::new(num_shards);
+        let mut sharded = ShardedSemanticsStore::new(num_shards);
         for (object_id, semantics) in store.iter() {
-            builder.insert(object_id, semantics.to_vec());
+            sharded.append(object_id, semantics.to_vec());
         }
-        builder.build()
+        sharded.seal();
+        sharded
     }
 
     /// Appends one object's m-semantics to its shard's **pending segment**.
@@ -287,51 +227,58 @@ impl ShardedSemanticsStore {
         self.shards.iter().map(|s| s.pending.len()).sum()
     }
 
-    /// Merges every shard's pending segment into its sealed objects and
-    /// posting index, sequentially. Only shards with pending entries do any
-    /// work, and each merges new visits only into the region posting lists
-    /// they touch — never the whole store. Returns the number of entries
-    /// merged.
-    pub fn seal(&mut self) -> usize {
-        self.seal_summarized().merged
-    }
-
-    /// [`seal`](ShardedSemanticsStore::seal) with the per-shard merges
-    /// fanned out over `pool`. Output is identical to the sequential seal.
-    pub fn seal_with(&mut self, pool: &WorkerPool) -> usize {
-        self.seal_summarized_with(pool).merged
-    }
-
-    /// [`seal`](ShardedSemanticsStore::seal) reporting what it published:
-    /// the [`SealSummary`] carries every new visit posting and the
-    /// distinct touched regions, the feed for standing queries and
-    /// cache invalidation.
-    pub fn seal_summarized(&mut self) -> SealSummary {
-        SealSummary::from_parts(self.shards.iter_mut().map(Shard::seal).collect())
-    }
-
-    /// [`seal_summarized`](ShardedSemanticsStore::seal_summarized) with
-    /// the per-shard merges fanned out over `pool`. Output (store and
-    /// summary alike) is identical to the sequential seal.
-    pub fn seal_summarized_with(&mut self, pool: &WorkerPool) -> SealSummary {
-        // Nothing pending: skip the fan-out (thread spawns + per-shard
-        // moves) that sequential seal's per-shard early exit avoids.
-        if self.num_pending() == 0 {
-            return SealSummary::default();
-        }
-        let sealed = run_owned(pool, std::mem::take(&mut self.shards), |mut shard| {
-            let part = shard.seal();
-            (shard, part)
-        });
-        let mut parts = Vec::with_capacity(sealed.len());
-        self.shards = sealed
-            .into_iter()
-            .map(|(shard, part)| {
-                parts.push(part);
-                shard
+    /// What the next seal will publish: every pending visit posting and
+    /// the regions it lands in. The engine reads it under the same write
+    /// guard as the seal that follows, to feed its cache and standing
+    /// queries.
+    pub fn pending_summary(&self) -> SealSummary {
+        let new_stays: Vec<(u64, RegionId, TimePeriod)> = self
+            .shards
+            .iter()
+            .flat_map(|shard| &shard.pending)
+            .flat_map(|(object, semantics)| {
+                semantics
+                    .iter()
+                    .filter(|ms| ms.event == MobilityEvent::Stay)
+                    .map(|ms| (*object, ms.region, ms.period))
             })
             .collect();
-        SealSummary::from_parts(parts)
+        let mut touched_regions: Vec<RegionId> = new_stays.iter().map(|&(_, r, _)| r).collect();
+        touched_regions.sort_unstable();
+        touched_regions.dedup();
+        SealSummary {
+            new_stays,
+            touched_regions,
+        }
+    }
+
+    /// [`seal_with`](ShardedSemanticsStore::seal_with) on the calling
+    /// thread.
+    pub fn seal(&mut self) -> usize {
+        self.seal_with(&WorkerPool::new(1))
+    }
+
+    /// Merges every shard's pending segment into its sealed objects and
+    /// posting index, the shards fanned out over `pool`. Only shards with
+    /// pending entries do any work, and each merges new visits only into
+    /// the region posting lists they touch — never the whole store. The
+    /// store is identical for any thread count. Returns the number of
+    /// entries merged.
+    pub fn seal_with(&mut self, pool: &WorkerPool) -> usize {
+        let merged = self.num_pending();
+        if merged > 0 {
+            let shards: Vec<parking_lot::Mutex<&mut Shard>> = self
+                .shards
+                .iter_mut()
+                .map(parking_lot::Mutex::new)
+                .collect();
+            pool.run(shards.len(), |s| {
+                if let Some(shard) = shards.get(s) {
+                    shard.lock().seal();
+                }
+            });
+        }
+        merged
     }
 
     /// Number of shards.
@@ -385,11 +332,6 @@ impl ShardedSemanticsStore {
             .any(|s| query.iter().any(|r| s.index.has_region(r)))
     }
 
-    /// Objects per shard, in shard order (diagnostics / balance checks).
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.objects.len()).collect()
-    }
-
     /// Iterates `(object, m-semantics)` entries of shard `s`.
     // analyzer: allow(lib-panic) `s < num_shards()` is the documented API contract of the shard accessors
     pub fn iter_shard(&self, s: usize) -> impl Iterator<Item = (u64, &[MobilitySemantics])> {
@@ -439,8 +381,8 @@ impl ShardedSemanticsStore {
 
 /// Extends an existing object's entry or appends a new one — the single
 /// definition of duplicate-object-id folding, shared by
-/// [`SemanticsStore::insert`] and [`ShardedStoreBuilder`] coalescing so
-/// flat and sharded stores can never diverge on duplicate handling.
+/// [`SemanticsStore::insert`] and the sharded store's seal so flat and
+/// sharded stores can never diverge on duplicate handling.
 // analyzer: allow(lib-panic) `by_id` values are maintained as valid indices into `objects`
 fn extend_or_push(
     objects: &mut Vec<(u64, Vec<MobilitySemantics>)>,
@@ -448,10 +390,10 @@ fn extend_or_push(
     object_id: u64,
     semantics: Vec<MobilitySemantics>,
 ) {
-    match by_id.get(&object_id) {
-        Some(&i) => objects[i].1.extend(semantics),
-        None => {
-            by_id.insert(object_id, objects.len());
+    match by_id.entry(object_id) {
+        Entry::Occupied(slot) => objects[*slot.get()].1.extend(semantics),
+        Entry::Vacant(slot) => {
+            slot.insert(objects.len());
             objects.push((object_id, semantics));
         }
     }
@@ -462,79 +404,6 @@ fn extend_or_push(
 fn merge_counts<K: std::hash::Hash + Eq>(total: &mut HashMap<K, usize>, other: HashMap<K, usize>) {
     for (key, n) in other {
         *total.entry(key).or_insert(0) += n;
-    }
-}
-
-/// Accumulates `(object, m-semantics)` entries into shard-partitioned parts
-/// and builds a [`ShardedSemanticsStore`].
-///
-/// Entries keep their insertion order within each shard, and duplicate
-/// object ids fold into one entry at build time, so the result equals
-/// [`SemanticsStore::insert`] over the same entries, sharded by
-/// [`shard_of`].
-#[derive(Debug, Clone)]
-#[must_use = "a builder does nothing until `build`/`build_with` finalises it"]
-pub struct ShardedStoreBuilder {
-    parts: Vec<Vec<(u64, Vec<MobilitySemantics>)>>,
-}
-
-impl Default for ShardedStoreBuilder {
-    /// A builder targeting [`DEFAULT_SHARDS`] shards.
-    fn default() -> Self {
-        ShardedStoreBuilder::new(DEFAULT_SHARDS)
-    }
-}
-
-impl ShardedStoreBuilder {
-    /// Creates a builder targeting `num_shards` shards (clamped to ≥ 1).
-    pub fn new(num_shards: usize) -> Self {
-        ShardedStoreBuilder {
-            parts: vec![Vec::new(); num_shards.max(1)],
-        }
-    }
-
-    /// Number of shards the built store will have.
-    pub fn num_shards(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Adds one entry after every entry inserted so far (matches
-    /// [`SemanticsStore::insert`] order semantics).
-    // analyzer: allow(lib-panic) `shard_of` returns a value below `parts.len()` by construction
-    pub fn insert(&mut self, object_id: u64, semantics: Vec<MobilitySemantics>) {
-        let shard = shard_of(object_id, self.parts.len());
-        self.parts[shard].push((object_id, semantics));
-    }
-
-    /// Finalises into a sharded store, building shard indexes sequentially.
-    #[must_use = "build returns the finished store; the builder is consumed"]
-    pub fn build(self) -> ShardedSemanticsStore {
-        let shards = self
-            .parts
-            .into_iter()
-            .map(|part| Shard::build(Self::coalesce(part)))
-            .collect();
-        ShardedSemanticsStore { shards }
-    }
-
-    /// Finalises into a sharded store, fanning the per-shard index builds
-    /// out over `pool`. Output is identical to [`ShardedStoreBuilder::build`].
-    #[must_use = "build_with returns the finished store; the builder is consumed"]
-    pub fn build_with(self, pool: &WorkerPool) -> ShardedSemanticsStore {
-        let shards = run_owned(pool, self.parts, |part| Shard::build(Self::coalesce(part)));
-        ShardedSemanticsStore { shards }
-    }
-
-    /// Folds a shard's duplicate object ids into one entry each (first
-    /// occurrence wins the position, later semantics extend it) — the same
-    /// semantics as repeated [`SemanticsStore::insert`] calls.
-    fn coalesce(part: Vec<(u64, Vec<MobilitySemantics>)>) -> Vec<(u64, Vec<MobilitySemantics>)> {
-        let mut objects: Vec<(u64, Vec<MobilitySemantics>)> = Vec::with_capacity(part.len());
-        let mut by_id: HashMap<u64, usize> = HashMap::new();
-        for (object_id, semantics) in part {
-            extend_or_push(&mut objects, &mut by_id, object_id, semantics);
-        }
-        objects
     }
 }
 
@@ -587,7 +456,6 @@ mod tests {
             assert_eq!(sharded.num_shards(), num_shards);
             assert_eq!(sharded.len(), 50);
             assert_eq!(sharded.num_postings(), 50);
-            assert_eq!(sharded.shard_sizes().iter().sum::<usize>(), 50);
             let mut seen: Vec<u64> = (0..num_shards)
                 .flat_map(|s| sharded.iter_shard(s).map(|(id, _)| id))
                 .collect();
@@ -597,23 +465,18 @@ mod tests {
     }
 
     #[test]
-    fn default_builder_targets_default_shards() {
-        assert_eq!(ShardedStoreBuilder::default().num_shards(), DEFAULT_SHARDS);
-    }
-
-    #[test]
     fn append_seal_matches_builder_build() {
         // A store grown incrementally — appends in three slices, sealed
-        // after each — must equal the from-scratch builder build, duplicate
-        // ids included.
+        // after each — must equal the from-scratch build (`from_store` over
+        // the flat store, one seal), duplicate ids included.
         let semantics = |i: u64| vec![ms(i as u32 % 5, i as f64 * 3.0, i as f64 * 3.0 + 2.0)];
         let object = |i: u64| i % 7;
         let reference = {
-            let mut b = ShardedStoreBuilder::new(4);
+            let mut flat = SemanticsStore::new();
             for i in 0..30u64 {
-                b.insert(object(i), semantics(i));
+                flat.insert(object(i), semantics(i));
             }
-            b.build()
+            ShardedSemanticsStore::from_store(&flat, 4)
         };
         let mut live = ShardedSemanticsStore::new(4);
         for (lo, hi) in [(0, 11), (11, 12), (12, 30)] {
@@ -698,26 +561,5 @@ mod tests {
         live.seal();
         assert_eq!(live.get(7).unwrap().len(), 2);
         assert_eq!(live.len(), 20);
-    }
-
-    #[test]
-    fn build_with_matches_sequential_build() {
-        let mut builder = ShardedStoreBuilder::new(5);
-        for i in 0..40u64 {
-            builder.insert(i, vec![ms(i as u32 % 3, i as f64, i as f64 + 1.0)]);
-        }
-        let parallel = builder.clone().build_with(&WorkerPool::new(4));
-        let sequential = builder.build();
-        for s in 0..5 {
-            let want: Vec<_> = sequential
-                .iter_shard(s)
-                .map(|(id, sem)| (id, sem.to_vec()))
-                .collect();
-            let got: Vec<_> = parallel
-                .iter_shard(s)
-                .map(|(id, sem)| (id, sem.to_vec()))
-                .collect();
-            assert_eq!(got, want, "shard {s}");
-        }
     }
 }

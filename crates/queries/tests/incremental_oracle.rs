@@ -1,11 +1,15 @@
 //! Incremental-maintenance oracle: a sharded store grown by arbitrary
-//! append/seal interleavings equals a `ShardedStoreBuilder::build` from
-//! scratch over the same entries — shard layout, posting counts, and both
-//! top-k queries — over shard counts {1, 3, 8}.
+//! append/seal interleavings equals the flat reference store over the same
+//! entries — each shard holds the flat store's objects that hash to it, in
+//! the flat store's order, and both top-k queries answer like the flat
+//! scans — over shard counts {1, 3, 8}.
 
 use ism_indoor::RegionId;
 use ism_mobility::{MobilityEvent, MobilitySemantics, TimePeriod};
-use ism_queries::{tk_frpq_sharded, tk_prq_sharded, ShardedSemanticsStore, ShardedStoreBuilder};
+use ism_queries::{
+    shard_of, tk_frpq, tk_frpq_sharded, tk_prq, tk_prq_sharded, SemanticsStore,
+    ShardedSemanticsStore,
+};
 use ism_runtime::WorkerPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -73,7 +77,7 @@ prop_compose! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Append + seal in random-sized rounds == build from scratch, for
+    /// Append + seal in random-sized rounds == the flat reference, for
     /// every shard count, including the queries served off the indexes.
     #[test]
     fn incremental_growth_equals_full_rebuild(case in arb_case()) {
@@ -81,14 +85,16 @@ proptest! {
         let query: Vec<RegionId> = (0..case.regions).map(RegionId).collect();
         let qt = TimePeriod::new(case.qt_start, case.qt_start + case.qt_len);
         let mut chunk_rng = StdRng::seed_from_u64(case.seed ^ 0x5EED);
+        let mut reference = SemanticsStore::new();
+        for (object, timeline) in &entries {
+            reference.insert(*object, timeline.clone());
+        }
+        let reference_postings = reference
+            .iter()
+            .flat_map(|(_, sem)| sem)
+            .filter(|ms| ms.event == MobilityEvent::Stay)
+            .count();
         for shards in SHARD_COUNTS {
-            let reference = {
-                let mut b = ShardedStoreBuilder::new(shards);
-                for (object, timeline) in &entries {
-                    b.insert(*object, timeline.clone());
-                }
-                b.build()
-            };
             let mut live = ShardedSemanticsStore::new(shards);
             let mut i = 0;
             while i < entries.len() {
@@ -108,12 +114,13 @@ proptest! {
             prop_assert_eq!(live.len(), reference.len(), "len at shards={}", shards);
             prop_assert_eq!(
                 live.num_postings(),
-                reference.num_postings(),
+                reference_postings,
                 "postings at shards={}", shards
             );
             for s in 0..shards {
                 let want: Vec<_> = reference
-                    .iter_shard(s)
+                    .iter()
+                    .filter(|&(id, _)| shard_of(id, shards) == s)
                     .map(|(id, sem)| (id, sem.to_vec()))
                     .collect();
                 let got: Vec<_> = live
@@ -125,12 +132,12 @@ proptest! {
             let pool = WorkerPool::new(2);
             prop_assert_eq!(
                 tk_prq_sharded(&live, &query, case.k, qt, &pool),
-                tk_prq_sharded(&reference, &query, case.k, qt, &pool),
+                tk_prq(&reference, &query, case.k, qt),
                 "TkPRQ diverged at shards={}", shards
             );
             prop_assert_eq!(
                 tk_frpq_sharded(&live, &query, case.k, qt, &pool),
-                tk_frpq_sharded(&reference, &query, case.k, qt, &pool),
+                tk_frpq(&reference, &query, case.k, qt),
                 "TkFRPQ diverged at shards={}", shards
             );
         }

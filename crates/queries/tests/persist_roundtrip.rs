@@ -7,9 +7,7 @@
 use ism_codec::{CodecError, Decode, Encode, Reader};
 use ism_indoor::RegionId;
 use ism_mobility::{MobilityEvent, MobilitySemantics, TimePeriod};
-use ism_queries::{
-    tk_frpq_sharded, tk_prq_sharded, QueryBatch, ShardedSemanticsStore, ShardedStoreBuilder,
-};
+use ism_queries::{tk_frpq_sharded, tk_prq_sharded, QueryBatch, ShardedSemanticsStore};
 use ism_runtime::WorkerPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,13 +21,13 @@ fn random_store(rng: &mut StdRng) -> ShardedSemanticsStore {
 
 /// [`random_store`] with a fixed shard count.
 fn random_store_with(rng: &mut StdRng, shards: usize) -> ShardedSemanticsStore {
-    let mut builder = ShardedStoreBuilder::new(shards);
+    let mut store = ShardedSemanticsStore::new(shards);
     let objects = rng.random_range(0..30u64);
     for _ in 0..objects {
         let id = rng.random_range(0..20u64);
-        builder.insert(id, random_run(rng));
+        store.append(id, random_run(rng));
     }
-    let mut store = builder.build();
+    store.seal();
     for _ in 0..rng.random_range(0..10u64) {
         let id = rng.random_range(0..25u64);
         store.append(id, random_run(rng));
@@ -120,7 +118,8 @@ proptest! {
             live.append(*id, run.clone());
             decoded.append(*id, run.clone());
         }
-        prop_assert_eq!(decoded.seal_summarized(), live.seal_summarized());
+        prop_assert_eq!(decoded.pending_summary(), live.pending_summary());
+        prop_assert_eq!(decoded.seal(), live.seal());
         prop_assert_eq!(decoded.to_bytes(), live.to_bytes());
     }
 

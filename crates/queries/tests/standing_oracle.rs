@@ -123,11 +123,12 @@ proptest! {
                 flat.insert(object, timeline);
             }
             // Alternate sequential and pool-parallel seals.
-            let summary = if wave % 2 == 0 {
-                sharded.seal_summarized()
+            let summary = sharded.pending_summary();
+            if wave % 2 == 0 {
+                sharded.seal();
             } else {
-                sharded.seal_summarized_with(&pool)
-            };
+                sharded.seal_with(&pool);
+            }
             standing_prq.observe_seal(&summary);
             standing_frpq.observe_seal(&summary);
             prop_assert_eq!(

@@ -14,8 +14,8 @@
 //!   error models, p-sequence preprocessing.
 //! * [`cluster`] — ST-DBSCAN spatio-temporal clustering.
 //! * [`optim`] — L-BFGS with line search.
-//! * [`pgm`] — probabilistic graphical model toolkit (HMM, linear-chain CRF,
-//!   Gibbs/ICM inference with a memoized Markov-blanket sweep cache and
+//! * [`pgm`] — probabilistic graphical model toolkit (HMM, Gibbs/ICM
+//!   inference with a memoized Markov-blanket sweep cache and
 //!   `KernelStats` observability).
 //! * [`runtime`] — deterministic **persistent** worker pool: long-lived
 //!   threads created once, item-ordered `run` / `run_with`, commutative
@@ -38,7 +38,7 @@
 //!   idle worker immediately (pipelined ingest), with several sessions
 //!   ingesting concurrently; queries are methods, with a seal-invalidated
 //!   result cache and standing-query registration.
-//! * [`eval`] — RA/EA/CA/PA metrics, splits, cross-validation.
+//! * [`eval`] — RA/EA/CA/PA metrics and top-k precision.
 //!
 //! ## Quickstart
 //!
@@ -87,7 +87,7 @@
 //! ```
 //!
 //! The pieces remain available individually (`C2mn::annotate`,
-//! `BatchAnnotator`, `ShardedStoreBuilder`, `tk_prq_sharded`, …) for
+//! `BatchAnnotator`, `ShardedSemanticsStore`, `tk_prq_sharded`, …) for
 //! callers that want to wire them by hand.
 
 #![deny(missing_docs)]
@@ -129,8 +129,8 @@ pub mod prelude {
     };
     pub use ism_queries::{
         shard_of, tk_frpq, tk_frpq_sharded, tk_prq, tk_prq_sharded, QueryAnswer, QueryBatch,
-        QuerySet, SealSummary, SemanticsStore, ShardedSemanticsStore, ShardedStoreBuilder,
-        StandingTkFrpq, StandingTkPrq, StoreError,
+        QuerySet, SealSummary, SemanticsStore, ShardedSemanticsStore, StandingTkFrpq,
+        StandingTkPrq, StoreError,
     };
     pub use ism_runtime::{PoolStats, WorkerPool};
 }
