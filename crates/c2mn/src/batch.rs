@@ -98,15 +98,6 @@ impl<'m, 'a> BatchAnnotator<'m, 'a> {
         }
     }
 
-    /// Creates an engine sized to the machine's available parallelism.
-    pub fn with_available_parallelism(model: &'m C2mn<'a>, base_seed: u64) -> Self {
-        BatchAnnotator {
-            model,
-            pool: WorkerPool::with_available_parallelism(),
-            base_seed,
-        }
-    }
-
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.pool.threads()

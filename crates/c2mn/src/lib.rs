@@ -25,19 +25,19 @@
 //!   [`TrainCheckpoint`]s resume interrupted runs exactly.
 //!   [`C2mn::train`] remains as a thin sequential convenience wrapper;
 //! * [`C2mn::annotate`] — joint decoding (annealed Gibbs + ICM) followed by
-//!   label-and-merge into m-semantics. Decoding runs the memoized kernel:
-//!   per-site candidate rows are cached in a
-//!   [`SweepCache`](ism_pgm::SweepCache) and refilled only when the site's
-//!   Markov blanket changed, with cross-chain invalidation
-//!   ([`invalidate_events_after_region_sweep`] /
-//!   [`invalidate_regions_after_event_sweep`]) between half-sweeps —
-//!   byte-identical to the naive loop, which
-//!   [`C2mn::label_with_naive`] keeps compiled as the reference oracle;
-//! * [`BatchAnnotator`] — the parallel batch engine: shards a batch of
-//!   p-sequences across scoped worker threads with per-worker
-//!   [`DecodeScratch`] buffers and per-sequence seeds derived from
-//!   `(base_seed, sequence_index)`, making output byte-identical for any
-//!   thread count.
+//!   label-and-merge into m-semantics. One decode loop runs either sweep
+//!   kernel. [`C2mn::label_with`] runs the memoized one: per-site candidate
+//!   rows are cached in a [`SweepCache`](ism_pgm::SweepCache) and refilled
+//!   only when the site's Markov blanket changed, with cross-chain
+//!   invalidation ([`invalidate_events_after_region_sweep`] /
+//!   [`invalidate_regions_after_event_sweep`]) between half-sweeps when
+//!   [`ModelStructure::is_coupled`]. [`C2mn::label_with_naive`] runs the
+//!   naive sweeps as the reference oracle; the labels are byte-identical;
+//! * [`BatchAnnotator`] — the parallel batch engine: spreads a batch of
+//!   p-sequences over the persistent workers of an
+//!   [`ism_runtime::WorkerPool`] with per-worker [`DecodeScratch`] buffers
+//!   and per-sequence seeds derived from `(base_seed, sequence_index)`,
+//!   making output byte-identical for any thread count.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

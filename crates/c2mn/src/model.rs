@@ -10,8 +10,8 @@ use ism_mobility::{
     merge_labels, LabeledSequence, MobilityEvent, MobilitySemantics, PositioningRecord,
 };
 use ism_pgm::{
-    gibbs_sweep_cached, gibbs_sweep_with, icm_sweep, icm_sweep_cached, AnnealSchedule, SweepCache,
-    SweepScratch,
+    gibbs_sweep, gibbs_sweep_cached, icm_sweep, icm_sweep_cached, AnnealSchedule, ConditionalModel,
+    SweepCache,
 };
 use rand::Rng;
 
@@ -25,14 +25,15 @@ use rand::Rng;
 /// (see [`crate::BatchAnnotator`]) and routing decoding through
 /// [`C2mn::label_with`] replaces those per-sequence/per-sweep allocations
 /// with buffers that grow once and are reused — and carries the
-/// [`SweepCache`]s that make the sweeps incremental.
+/// [`SweepCache`]s that make the sweeps incremental. [`C2mn::label_with`]
+/// and [`C2mn::label_with_naive`] may share one scratch in any order:
+/// every decode re-initialises what it reads.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     region_state: Vec<usize>,
     event_state: Vec<usize>,
     regions: Vec<RegionId>,
     events: Vec<MobilityEvent>,
-    sweep: SweepScratch,
     region_cache: SweepCache,
     event_cache: SweepCache,
     /// Runs of the event chain, rebuilt for every region half-sweep.
@@ -47,6 +48,36 @@ impl DecodeScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         DecodeScratch::default()
+    }
+}
+
+/// The sweep kernel of a decode; the decode loop around it is shared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// [`gibbs_sweep_cached`] / [`icm_sweep_cached`] over the scratch's
+    /// [`SweepCache`]s, with cross-chain invalidation when coupled.
+    Memoized,
+    /// [`gibbs_sweep`] / [`icm_sweep`]: every row recomputed every sweep.
+    Naive,
+}
+
+impl Kernel {
+    /// One half-sweep over `model`: Gibbs at `temperature`, or ICM when it
+    /// is `None`. Returns the number of sites whose label changed.
+    fn sweep<M: ConditionalModel, R: Rng + ?Sized>(
+        self,
+        model: &M,
+        state: &mut [usize],
+        temperature: Option<f64>,
+        rng: &mut R,
+        cache: &mut SweepCache,
+    ) -> usize {
+        match (self, temperature) {
+            (Kernel::Memoized, Some(t)) => gibbs_sweep_cached(model, state, t, rng, cache),
+            (Kernel::Memoized, None) => icm_sweep_cached(model, state, cache),
+            (Kernel::Naive, Some(t)) => gibbs_sweep(model, state, t, rng),
+            (Kernel::Naive, None) => icm_sweep(model, state),
+        }
     }
 }
 
@@ -162,14 +193,44 @@ impl<'a> C2mn<'a> {
     /// [`SweepCache`] that refills a site's candidate row only when the
     /// site's Markov blanket changed, and a region half-sweep dirties the
     /// affected event rows (and vice versa) via the snapshot-diff helpers
-    /// in the crate's `network` module. The result is byte-identical to
-    /// the naive loop, which remains available as
-    /// [`C2mn::label_with_naive`] and serves as the test oracle.
+    /// in the crate's `network` module. [`C2mn::label_with_naive`] runs the
+    /// same decode loop with the naive sweeps, and its labels are
+    /// byte-identical.
     pub fn label_with<R: Rng + ?Sized>(
         &self,
         records: &[PositioningRecord],
         rng: &mut R,
         scratch: &mut DecodeScratch,
+    ) -> Vec<(RegionId, MobilityEvent)> {
+        self.decode(records, rng, scratch, Kernel::Memoized)
+    }
+
+    /// [`C2mn::label_with`]'s decode loop with the naive sweeps, kept
+    /// compiled as the reference oracle: every sweep recomputes every
+    /// `(site, candidate)` local log-potential from scratch.
+    ///
+    /// [`C2mn::label_with`] must produce byte-identical labels for the
+    /// same RNG state; the `kernel_oracle` integration suite compares the
+    /// two.
+    pub fn label_with_naive<R: Rng + ?Sized>(
+        &self,
+        records: &[PositioningRecord],
+        rng: &mut R,
+        scratch: &mut DecodeScratch,
+    ) -> Vec<(RegionId, MobilityEvent)> {
+        self.decode(records, rng, scratch, Kernel::Naive)
+    }
+
+    /// The shared decode loop: nearest-region / ST-DBSCAN initialisation,
+    /// then joint sweeps (a region half-sweep, then an event half-sweep),
+    /// first annealed Gibbs and then ICM. Only `kernel` tells the two
+    /// public decode paths apart.
+    fn decode<R: Rng + ?Sized>(
+        &self,
+        records: &[PositioningRecord],
+        rng: &mut R,
+        scratch: &mut DecodeScratch,
+        kernel: Kernel,
     ) -> Vec<(RegionId, MobilityEvent)> {
         if records.is_empty() {
             return Vec::new();
@@ -177,20 +238,18 @@ impl<'a> C2mn<'a> {
         let ctx = SequenceContext::build(self.space, &self.config, records, &self.region_freq);
         let net = CoupledNetwork::new(&ctx, &self.weights);
         let n = ctx.len();
+        let memoized = kernel == Kernel::Memoized;
         // Region flips reach event rows (and vice versa) only through the
         // segmentation features; without them the chains share no cliques
-        // and the snapshot-diff pass is skipped.
-        let coupled = {
-            let s = &self.config.structure;
-            s.event_segmentation || s.space_segmentation
-        };
+        // and the snapshot-diff pass is skipped. The naive sweeps read no
+        // cache, so they skip it too.
+        let cross_invalidate = memoized && self.config.structure.is_coupled();
 
         let DecodeScratch {
             region_state,
             event_state,
             regions,
             events,
-            sweep: _,
             region_cache,
             event_cache,
             event_runs,
@@ -211,34 +270,32 @@ impl<'a> C2mn<'a> {
         );
         events.clear();
         events.extend_from_slice(&ctx.dbscan_events);
-        {
-            let rs = RegionSites::new(&net, events, event_runs);
-            region_cache.reset(&rs);
-            let es = EventSites::new(&net, regions, region_runs);
-            event_cache.reset(&es);
+        if memoized {
+            region_cache.reset(&RegionSites::new(&net, events, event_runs));
+            event_cache.reset(&EventSites::new(&net, regions, region_runs));
         }
 
         // Annealed coupled Gibbs, cooling geometrically from `t_start` on
-        // the first sweep to exactly `t_end` on the last.
+        // the first sweep to exactly `t_end` on the last; then ICM polish
+        // (no temperature) until a joint fixed point, at most `2n + 4`
+        // rounds.
         let schedule = AnnealSchedule {
             t_start: self.config.anneal_t_start,
             t_end: self.config.anneal_t_end,
             sweeps: self.config.anneal_sweeps.max(1),
         };
-        for k in 0..schedule.sweeps {
-            let t = schedule.temperature(k);
-            if coupled {
+        for k in 0..schedule.sweeps + 2 * n + 4 {
+            let temperature = (k < schedule.sweeps).then(|| schedule.temperature(k));
+            if cross_invalidate {
                 prev_regions.clear();
                 prev_regions.extend_from_slice(regions);
             }
-            {
-                let rs = RegionSites::new(&net, events, event_runs);
-                gibbs_sweep_cached(&rs, region_state, t, rng, region_cache);
-            }
+            let rs = RegionSites::new(&net, events, event_runs);
+            let changed_r = kernel.sweep(&rs, region_state, temperature, rng, region_cache);
             for i in 0..n {
                 regions[i] = ctx.candidates[i][region_state[i]];
             }
-            if coupled {
+            if cross_invalidate {
                 invalidate_events_after_region_sweep(
                     &ctx,
                     prev_regions,
@@ -249,14 +306,12 @@ impl<'a> C2mn<'a> {
                 prev_events.clear();
                 prev_events.extend_from_slice(events);
             }
-            {
-                let es = EventSites::new(&net, regions, region_runs);
-                gibbs_sweep_cached(&es, event_state, t, rng, event_cache);
-            }
+            let es = EventSites::new(&net, regions, region_runs);
+            let changed_e = kernel.sweep(&es, event_state, temperature, rng, event_cache);
             for i in 0..n {
                 events[i] = MobilityEvent::ALL[event_state[i]];
             }
-            if coupled {
+            if cross_invalidate {
                 invalidate_regions_after_event_sweep(
                     &ctx,
                     prev_events,
@@ -265,147 +320,13 @@ impl<'a> C2mn<'a> {
                     region_cache,
                 );
             }
-        }
-
-        // ICM polish: alternate until a joint fixed point.
-        for _ in 0..(2 * n + 4) {
-            if coupled {
-                prev_regions.clear();
-                prev_regions.extend_from_slice(regions);
-            }
-            let changed_r = {
-                let rs = RegionSites::new(&net, events, event_runs);
-                icm_sweep_cached(&rs, region_state, region_cache)
-            };
-            for i in 0..n {
-                regions[i] = ctx.candidates[i][region_state[i]];
-            }
-            if coupled {
-                invalidate_events_after_region_sweep(
-                    &ctx,
-                    prev_regions,
-                    regions,
-                    events,
-                    event_cache,
-                );
-                prev_events.clear();
-                prev_events.extend_from_slice(events);
-            }
-            let changed_e = {
-                let es = EventSites::new(&net, regions, region_runs);
-                icm_sweep_cached(&es, event_state, event_cache)
-            };
-            for i in 0..n {
-                events[i] = MobilityEvent::ALL[event_state[i]];
-            }
-            if coupled {
-                invalidate_regions_after_event_sweep(
-                    &ctx,
-                    prev_events,
-                    events,
-                    regions,
-                    region_cache,
-                );
-            }
-            if changed_r == 0 && changed_e == 0 {
+            if temperature.is_none() && changed_r == 0 && changed_e == 0 {
                 break;
             }
         }
-        region_cache.flush_stats();
-        event_cache.flush_stats();
-
-        regions
-            .iter()
-            .copied()
-            .zip(events.iter().copied())
-            .collect()
-    }
-
-    /// The pre-memoization decode loop, kept compiled as the reference
-    /// oracle: every sweep recomputes every `(site, candidate)` local
-    /// log-potential from scratch.
-    ///
-    /// [`C2mn::label_with`] must produce byte-identical labels for the
-    /// same RNG state; the `kernel_oracle` integration suite compares the
-    /// two.
-    pub fn label_with_naive<R: Rng + ?Sized>(
-        &self,
-        records: &[PositioningRecord],
-        rng: &mut R,
-        scratch: &mut DecodeScratch,
-    ) -> Vec<(RegionId, MobilityEvent)> {
-        if records.is_empty() {
-            return Vec::new();
-        }
-        let ctx = SequenceContext::build(self.space, &self.config, records, &self.region_freq);
-        let net = CoupledNetwork::new(&ctx, &self.weights);
-        let n = ctx.len();
-
-        let DecodeScratch {
-            region_state,
-            event_state,
-            regions,
-            events,
-            sweep,
-            event_runs,
-            region_runs,
-            ..
-        } = scratch;
-        region_state.clear();
-        region_state.extend_from_slice(&ctx.nearest_idx);
-        event_state.clear();
-        event_state.extend(ctx.dbscan_events.iter().map(|e| e.index()));
-        regions.clear();
-        regions.extend(
-            ctx.nearest_idx
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| ctx.candidates[i][c]),
-        );
-        events.clear();
-        events.extend_from_slice(&ctx.dbscan_events);
-
-        let schedule = AnnealSchedule {
-            t_start: self.config.anneal_t_start,
-            t_end: self.config.anneal_t_end,
-            sweeps: self.config.anneal_sweeps.max(1),
-        };
-        for k in 0..schedule.sweeps {
-            let t = schedule.temperature(k);
-            {
-                let rs = RegionSites::new(&net, events, event_runs);
-                gibbs_sweep_with(&rs, region_state, t, rng, sweep);
-            }
-            for i in 0..n {
-                regions[i] = ctx.candidates[i][region_state[i]];
-            }
-            {
-                let es = EventSites::new(&net, regions, region_runs);
-                gibbs_sweep_with(&es, event_state, t, rng, sweep);
-            }
-            for i in 0..n {
-                events[i] = MobilityEvent::ALL[event_state[i]];
-            }
-        }
-
-        for _ in 0..(2 * n + 4) {
-            let changed_r = {
-                let rs = RegionSites::new(&net, events, event_runs);
-                icm_sweep(&rs, region_state)
-            };
-            for i in 0..n {
-                regions[i] = ctx.candidates[i][region_state[i]];
-            }
-            let changed_e = {
-                let es = EventSites::new(&net, regions, region_runs);
-                icm_sweep(&es, event_state)
-            };
-            for i in 0..n {
-                events[i] = MobilityEvent::ALL[event_state[i]];
-            }
-            if changed_r == 0 && changed_e == 0 {
-                break;
-            }
+        if memoized {
+            region_cache.flush_stats();
+            event_cache.flush_stats();
         }
 
         regions
@@ -532,16 +453,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let config = C2mnConfig::quick_test();
         let model = C2mn::train(&space, &dataset.sequences, &config, &mut rng).unwrap();
-        // One scratch reused across sequences must match per-call fresh
-        // buffers for identical RNG streams.
+        // One scratch reused across sequences, by the naive and the
+        // memoized kernel in turn, must match per-call fresh buffers for
+        // identical RNG streams.
         let mut scratch = DecodeScratch::new();
-        for (i, seq) in dataset.sequences.iter().take(4).enumerate() {
+        for (i, seq) in dataset.sequences.iter().take(6).enumerate() {
             let records: Vec<_> = seq.positioning().collect();
             let mut rng_a = StdRng::seed_from_u64(100 + i as u64);
             let mut rng_b = StdRng::seed_from_u64(100 + i as u64);
             let fresh = model.label(&records, &mut rng_a);
-            let reused = model.label_with(&records, &mut rng_b, &mut scratch);
-            assert_eq!(fresh, reused);
+            let reused = if i % 2 == 0 {
+                model.label_with_naive(&records, &mut rng_b, &mut scratch)
+            } else {
+                model.label_with(&records, &mut rng_b, &mut scratch)
+            };
+            assert_eq!(fresh, reused, "sequence {i}");
         }
     }
 

@@ -980,7 +980,7 @@ pub fn invalidate_events_after_region_sweep(
     cache: &mut SweepCache,
 ) {
     let s = &ctx.config.structure;
-    if !s.event_segmentation && !s.space_segmentation {
+    if !s.is_coupled() {
         return;
     }
     let n = ctx.len();
@@ -1080,7 +1080,7 @@ pub fn invalidate_regions_after_event_sweep(
     cache: &mut SweepCache,
 ) {
     let s = &ctx.config.structure;
-    if !s.event_segmentation && !s.space_segmentation {
+    if !s.is_coupled() {
         return;
     }
     let n = ctx.len();

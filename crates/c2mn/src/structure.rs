@@ -93,7 +93,9 @@ impl ModelStructure {
         }
     }
 
-    /// Whether regions and events are coupled (any segmentation template).
+    /// Whether regions and events are coupled (any segmentation template):
+    /// only then can a flip in one chain change a row of the other, so
+    /// decoding invalidates across chains only when this holds.
     pub fn is_coupled(&self) -> bool {
         self.event_segmentation || self.space_segmentation
     }

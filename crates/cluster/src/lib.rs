@@ -86,17 +86,6 @@ pub struct ClusterResult {
     pub num_clusters: usize,
 }
 
-impl ClusterResult {
-    /// Indices of the points in the given cluster.
-    pub fn members(&self, cluster: u32) -> impl Iterator<Item = usize> + '_ {
-        self.clusters
-            .iter()
-            .enumerate()
-            .filter(move |(_, c)| **c == Some(cluster))
-            .map(|(i, _)| i)
-    }
-}
-
 /// The ST-DBSCAN clustering algorithm.
 #[derive(Debug, Clone, Copy)]
 pub struct StDbscan {
@@ -273,15 +262,6 @@ mod tests {
         let r = StDbscan::new(params(2.0, 10.0, 3)).run(&pts);
         // Two points per floor, min_pts 3 → nobody is core.
         assert_eq!(r.num_clusters, 0);
-    }
-
-    #[test]
-    fn cluster_members_iterator() {
-        let pts: Vec<StPoint> = (0..5).map(|i| pt(0.0, 0.0, i as f64)).collect();
-        let r = StDbscan::new(params(1.0, 10.0, 3)).run(&pts);
-        assert_eq!(r.num_clusters, 1);
-        let members: Vec<usize> = r.members(0).collect();
-        assert_eq!(members, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -37,7 +37,8 @@ impl CacheKey {
             prq,
             regions: QuerySet::new(query).iter().collect(),
             k,
-            qt_bits: (qt.start.to_bits(), qt.end.to_bits()),
+            // `+ 0.0` maps -0.0 to 0.0, so equal times share a key.
+            qt_bits: ((qt.start + 0.0).to_bits(), (qt.end + 0.0).to_bits()),
         }
     }
 }
@@ -140,6 +141,9 @@ mod tests {
         assert_eq!(key(true, &[3, 1, 3, 2], 5), key(true, &[1, 2, 3], 5));
         assert_ne!(key(true, &[1, 2], 5), key(false, &[1, 2], 5));
         assert_ne!(key(true, &[1, 2], 5), key(true, &[1, 2], 6));
+        let at = |start| CacheKey::new(true, &[RegionId(1)], 5, TimePeriod::new(start, 100.0));
+        assert_eq!(at(-0.0), at(0.0));
+        assert_ne!(at(0.0), at(1.0));
     }
 
     #[test]

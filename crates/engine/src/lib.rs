@@ -342,11 +342,6 @@ enum StandingState {
 pub struct StandingQueryId(usize);
 
 impl<'a> SemanticsEngine<'a> {
-    /// A fresh [`EngineBuilder`].
-    pub fn builder() -> EngineBuilder {
-        EngineBuilder::new()
-    }
-
     /// The owned trained model.
     pub fn model(&self) -> &C2mn<'a> {
         &self.model

@@ -68,17 +68,6 @@ impl Point2 {
         self + (other - self) * t
     }
 
-    /// Unit vector in the direction of `self`, or `None` for the zero vector.
-    #[inline]
-    pub fn normalized(self) -> Option<Point2> {
-        let n = self.norm();
-        if n <= f64::EPSILON {
-            None
-        } else {
-            Some(self / n)
-        }
-    }
-
     /// Angle of the vector measured from the positive x-axis, in radians.
     #[inline]
     pub fn angle(self) -> f64 {
@@ -166,13 +155,6 @@ mod tests {
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.lerp(b, 0.5), Point2::new(1.0, 3.0));
-    }
-
-    #[test]
-    fn normalized_unit_and_zero() {
-        let v = Point2::new(3.0, 4.0).normalized().unwrap();
-        assert!((v.norm() - 1.0).abs() < 1e-12);
-        assert!(Point2::ZERO.normalized().is_none());
     }
 
     #[test]

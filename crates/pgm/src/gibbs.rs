@@ -84,25 +84,6 @@ pub trait ConditionalModel {
     }
 }
 
-/// Reusable buffers for the sweep hot path.
-///
-/// [`gibbs_sweep`] needs one log-weight vector per resampled site; decoding
-/// a sequence runs tens of sweeps, and a batch workload decodes thousands
-/// of sequences. Holding the buffer in a `SweepScratch` owned by the caller
-/// (one per worker thread in the batch engine) turns those per-sweep
-/// allocations into a single allocation per worker.
-#[derive(Debug, Default)]
-pub struct SweepScratch {
-    log_weights: Vec<f64>,
-}
-
-impl SweepScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        SweepScratch::default()
-    }
-}
-
 // Process-wide kernel counters (PoolStats-style: accumulate from process
 // start, never reset). `SweepCache` counts locally with plain integers and
 // publishes via `flush_stats`, so the hot loop never touches an atomic.
@@ -304,7 +285,7 @@ impl SweepCache {
 }
 
 /// One Gibbs sweep routed through a [`SweepCache`]: byte-identical to
-/// [`gibbs_sweep_with`] (same RNG stream, same states, same change counts)
+/// [`gibbs_sweep`] (same RNG stream, same states, same change counts)
 /// for any sound [`ConditionalModel::dependents`], but a site's candidate
 /// row is recomputed only when something in its Markov blanket changed
 /// since it was last filled.
@@ -383,10 +364,8 @@ pub fn icm_sweep_cached<M: ConditionalModel + ?Sized>(
 }
 
 /// One Gibbs sweep: resamples every site in order from its conditional at
-/// temperature `temperature` (1.0 = the model distribution).
-///
-/// Allocates a fresh buffer per call; hot paths should prefer
-/// [`gibbs_sweep_with`] with a reused [`SweepScratch`].
+/// temperature `temperature` (1.0 = the model distribution), recomputing
+/// every candidate's log-potential.
 ///
 /// Returns the number of sites whose label changed.
 pub fn gibbs_sweep<M: ConditionalModel + ?Sized, R: Rng + ?Sized>(
@@ -395,24 +374,10 @@ pub fn gibbs_sweep<M: ConditionalModel + ?Sized, R: Rng + ?Sized>(
     temperature: f64,
     rng: &mut R,
 ) -> usize {
-    gibbs_sweep_with(model, state, temperature, rng, &mut SweepScratch::new())
-}
-
-/// [`gibbs_sweep`] routed through caller-owned scratch buffers.
-///
-/// Behaviour (including the RNG stream consumed) is identical to
-/// [`gibbs_sweep`]; only the allocation strategy differs.
-pub fn gibbs_sweep_with<M: ConditionalModel + ?Sized, R: Rng + ?Sized>(
-    model: &M,
-    state: &mut [usize],
-    temperature: f64,
-    rng: &mut R,
-    scratch: &mut SweepScratch,
-) -> usize {
     debug_assert_eq!(state.len(), model.num_sites());
     let inv_t = 1.0 / temperature.max(1e-9);
     let mut changed = 0;
-    let weights = &mut scratch.log_weights;
+    let mut weights = Vec::new();
     for site in 0..model.num_sites() {
         let k = model.num_candidates(site);
         if k <= 1 {
@@ -420,7 +385,7 @@ pub fn gibbs_sweep_with<M: ConditionalModel + ?Sized, R: Rng + ?Sized>(
         }
         weights.clear();
         weights.extend((0..k).map(|c| model.local_log_potential(site, c, state) * inv_t));
-        let new = sample_from_log_weights(weights, rng);
+        let new = sample_from_log_weights(&weights, rng);
         if new != state[site] {
             changed += 1;
         }
@@ -654,27 +619,6 @@ mod tests {
         assert_eq!(s.temperature(0), 0.2);
     }
 
-    #[test]
-    fn scratch_sweep_matches_allocating_sweep() {
-        let model = Chain {
-            prefs: vec![1, 0, 2, 1, 1, 0, 2, 2],
-            k: 3,
-            unary: 1.0,
-            coupling: 0.7,
-        };
-        let mut rng_a = StdRng::seed_from_u64(21);
-        let mut rng_b = StdRng::seed_from_u64(21);
-        let mut state_a = vec![0; 8];
-        let mut state_b = vec![0; 8];
-        let mut scratch = SweepScratch::new();
-        for _ in 0..20 {
-            let ca = gibbs_sweep(&model, &mut state_a, 0.8, &mut rng_a);
-            let cb = gibbs_sweep_with(&model, &mut state_b, 0.8, &mut rng_b, &mut scratch);
-            assert_eq!(ca, cb);
-            assert_eq!(state_a, state_b);
-        }
-    }
-
     /// The [`Chain`] model with a tight (exact) Markov blanket: a site's
     /// conditional reads only its ±1 neighbours.
     struct BlanketChain(Chain);
@@ -724,14 +668,13 @@ mod tests {
             let mut s_naive = vec![0usize; 10];
             let mut s_default = vec![0usize; 10];
             let mut s_tight = vec![0usize; 10];
-            let mut scratch = SweepScratch::new();
             let mut cache_default = SweepCache::new();
             cache_default.reset(&naive);
             let mut cache_tight = SweepCache::new();
             cache_tight.reset(&tight);
             for sweep in 0..30 {
                 let t = 2.0 * 0.85f64.powi(sweep);
-                let ca = gibbs_sweep_with(&naive, &mut s_naive, t, &mut rng_a, &mut scratch);
+                let ca = gibbs_sweep(&naive, &mut s_naive, t, &mut rng_a);
                 let cb =
                     gibbs_sweep_cached(&naive, &mut s_default, t, &mut rng_b, &mut cache_default);
                 let cc = gibbs_sweep_cached(&tight, &mut s_tight, t, &mut rng_c, &mut cache_tight);

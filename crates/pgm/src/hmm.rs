@@ -141,30 +141,6 @@ impl Hmm {
         }
         path
     }
-
-    /// Log-likelihood of an observation sequence (forward algorithm).
-    pub fn log_likelihood(&self, observations: &[usize]) -> f64 {
-        let n = observations.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let ns = self.num_states;
-        let mut alpha: Vec<f64> = (0..ns)
-            .map(|s| self.log_initial[s] + self.log_emission(s, observations[0]))
-            .collect();
-        let mut scratch = vec![0.0f64; ns];
-        let mut lse_buf = vec![0.0f64; ns];
-        for &obs in &observations[1..] {
-            for (s, sc) in scratch.iter_mut().enumerate() {
-                for (p, lb) in lse_buf.iter_mut().enumerate() {
-                    *lb = alpha[p] + self.log_transition[p * ns + s];
-                }
-                *sc = crate::util::log_sum_exp(&lse_buf) + self.log_emission(s, obs);
-            }
-            std::mem::swap(&mut alpha, &mut scratch);
-        }
-        crate::util::log_sum_exp(&alpha)
-    }
 }
 
 #[cfg(test)]
@@ -232,15 +208,6 @@ mod tests {
     fn empty_sequence() {
         let h = toy_hmm();
         assert!(h.viterbi(&[]).is_empty());
-        assert_eq!(h.log_likelihood(&[]), 0.0);
-    }
-
-    #[test]
-    fn likelihood_prefers_plausible_sequences() {
-        let h = toy_hmm();
-        let plausible = h.log_likelihood(&[0, 0, 0, 0]);
-        let alternating = h.log_likelihood(&[0, 1, 0, 1]);
-        assert!(plausible > alternating);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   ([`gibbs_sweep_cached`] / [`icm_sweep_cached`] over a
 //!   [`SweepCache`]) recompute a site's candidate row only when its
 //!   Markov blanket ([`ConditionalModel::dependents`]) changed —
-//!   byte-identical to the naive sweeps, which remain compiled as the
-//!   reference oracle,
+//!   byte-identical to the naive [`gibbs_sweep`] / [`icm_sweep`], which
+//!   remain compiled as the reference they are pinned against,
 //! * [`util`] — numerically stable log-space helpers.
 
 #![deny(missing_docs)]
@@ -24,9 +24,8 @@ pub mod hmm;
 pub mod util;
 
 pub use gibbs::{
-    gibbs_sweep, gibbs_sweep_cached, gibbs_sweep_with, icm_sweep, icm_sweep_cached, kernel_stats,
+    gibbs_sweep, gibbs_sweep_cached, icm_sweep, icm_sweep_cached, kernel_stats,
     note_pairwise_table_bytes, AnnealSchedule, ConditionalModel, KernelStats, SweepCache,
-    SweepScratch,
 };
 pub use hmm::{Hmm, HmmConfig};
 pub use util::{log_sum_exp, sample_from_log_weights};
