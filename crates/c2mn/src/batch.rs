@@ -46,10 +46,9 @@ pub fn sequence_seed(base_seed: u64, index: usize) -> u64 {
 
 /// Decodes batches of p-sequences in parallel with deterministic output.
 ///
-/// Each worker owns one [`DecodeScratch`], so the memoized sweep caches of
-/// [`C2mn::label_with`] are reused (and re-targeted) across the sequences a
-/// worker claims — the per-worker kernel counters are flushed into
-/// [`ism_pgm::kernel_stats`] after every decode.
+/// Each worker owns one [`DecodeScratch`], so the decode buffers of
+/// [`C2mn::label_with`] (state vectors, labels and run indexes) are reused
+/// across the sequences a worker claims.
 ///
 /// ```
 /// # use ism_c2mn::{BatchAnnotator, C2mn, C2mnConfig, Weights};

@@ -25,14 +25,14 @@
 //!   [`TrainCheckpoint`]s resume interrupted runs exactly.
 //!   [`C2mn::train`] remains as a thin sequential convenience wrapper;
 //! * [`C2mn::annotate`] — joint decoding (annealed Gibbs + ICM) followed by
-//!   label-and-merge into m-semantics. One decode loop runs either sweep
-//!   kernel. [`C2mn::label_with`] runs the memoized one: per-site candidate
-//!   rows are cached in a [`SweepCache`](ism_pgm::SweepCache) and refilled
-//!   only when the site's Markov blanket changed, with cross-chain
-//!   invalidation ([`invalidate_events_after_region_sweep`] /
-//!   [`invalidate_regions_after_event_sweep`]) between half-sweeps when
-//!   [`ModelStructure::is_coupled`]. [`C2mn::label_with_naive`] runs the
-//!   naive sweeps as the reference oracle; the labels are byte-identical;
+//!   label-and-merge into m-semantics. One decode loop serves both decode
+//!   paths, and every sweep fills the candidate row of every
+//!   multi-candidate site. [`C2mn::label_with`] fills rows through the
+//!   chains' run-indexed
+//!   [`fill_row`](ism_pgm::ConditionalModel::fill_row) ([`RegionSites`] /
+//!   [`EventSites`] over a [`RunIndex`]); [`C2mn::label_with_naive`], the
+//!   reference oracle, fills them one candidate at a time. The labels are
+//!   byte-identical;
 //! * [`BatchAnnotator`] — the parallel batch engine: spreads a batch of
 //!   p-sequences over the persistent workers of an
 //!   [`ism_runtime::WorkerPool`] with per-worker [`DecodeScratch`] buffers
@@ -61,10 +61,7 @@ pub use config::{C2mnConfig, FirstConfigured};
 pub use context::SequenceContext;
 pub use error::TrainError;
 pub use model::{C2mn, DecodeScratch};
-pub use network::{
-    invalidate_events_after_region_sweep, invalidate_regions_after_event_sweep, CoupledNetwork,
-    EventSites, RegionSites, RunIndex,
-};
+pub use network::{CoupledNetwork, EventSites, RegionSites, RunIndex};
 pub use persist::ModelSnapshot;
 pub use sample::train_seed;
 pub use structure::{ModelStructure, Weights, NUM_FEATURES};

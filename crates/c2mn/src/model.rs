@@ -1,6 +1,5 @@
 //! The public C2MN model: training, labeling, annotation.
 
-use crate::network::{invalidate_events_after_region_sweep, invalidate_regions_after_event_sweep};
 use crate::{
     C2mnConfig, CoupledNetwork, EventSites, RegionSites, RunIndex, SequenceContext, TrainError,
     TrainReport, Trainer, Weights,
@@ -9,39 +8,30 @@ use ism_indoor::{IndoorSpace, RegionId};
 use ism_mobility::{
     merge_labels, LabeledSequence, MobilityEvent, MobilitySemantics, PositioningRecord,
 };
-use ism_pgm::{
-    gibbs_sweep, gibbs_sweep_cached, icm_sweep, icm_sweep_cached, AnnealSchedule, ConditionalModel,
-    SweepCache,
-};
+use ism_pgm::{gibbs_sweep, icm_sweep, AnnealSchedule, ConditionalModel};
 use rand::Rng;
 
-/// Reusable decode buffers: the per-sequence state vectors, the memoized
-/// per-site candidate rows of both chains, the run indexes of the chain
-/// each half-sweep holds fixed, and the label snapshots used for
-/// cross-chain invalidation.
+/// Reusable decode buffers: the per-sequence state vectors and labels of
+/// both chains, and the run indexes of the chain each half-sweep holds
+/// fixed.
 ///
 /// [`C2mn::label`] runs dozens of sweeps per sequence; batch workloads
 /// decode thousands of sequences. Owning one `DecodeScratch` per worker
 /// (see [`crate::BatchAnnotator`]) and routing decoding through
 /// [`C2mn::label_with`] replaces those per-sequence/per-sweep allocations
-/// with buffers that grow once and are reused — and carries the
-/// [`SweepCache`]s that make the sweeps incremental. [`C2mn::label_with`]
-/// and [`C2mn::label_with_naive`] may share one scratch in any order:
-/// every decode re-initialises what it reads.
+/// with buffers that grow once and are reused. [`C2mn::label_with`] and
+/// [`C2mn::label_with_naive`] may share one scratch in any order: every
+/// decode re-initialises what it reads.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     region_state: Vec<usize>,
     event_state: Vec<usize>,
     regions: Vec<RegionId>,
     events: Vec<MobilityEvent>,
-    region_cache: SweepCache,
-    event_cache: SweepCache,
     /// Runs of the event chain, rebuilt for every region half-sweep.
     event_runs: RunIndex,
     /// Runs of the region chain, rebuilt for every event half-sweep.
     region_runs: RunIndex,
-    prev_regions: Vec<RegionId>,
-    prev_events: Vec<MobilityEvent>,
 }
 
 impl DecodeScratch {
@@ -51,33 +41,52 @@ impl DecodeScratch {
     }
 }
 
-/// The sweep kernel of a decode; the decode loop around it is shared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
-    /// [`gibbs_sweep_cached`] / [`icm_sweep_cached`] over the scratch's
-    /// [`SweepCache`]s, with cross-chain invalidation when coupled.
-    Memoized,
-    /// [`gibbs_sweep`] / [`icm_sweep`]: every row recomputed every sweep.
-    Naive,
+/// How a decode's sweeps fill their candidate rows; the decode loop
+/// around them is shared.
+#[derive(Debug, Clone, Copy)]
+enum RowFill {
+    /// The chains' own run-indexed [`ConditionalModel::fill_row`].
+    Hoisted,
+    /// One `local_log_potential` call per candidate, through
+    /// [`PerCandidate`].
+    PerCandidate,
 }
 
-impl Kernel {
-    /// One half-sweep over `model`: Gibbs at `temperature`, or ICM when it
-    /// is `None`. Returns the number of sites whose label changed.
+impl RowFill {
+    /// One half-sweep over `model`, its rows filled the way `self` says:
+    /// Gibbs at `temperature`, or ICM when it is `None`. Returns the number
+    /// of sites whose label changed.
     fn sweep<M: ConditionalModel, R: Rng + ?Sized>(
         self,
         model: &M,
         state: &mut [usize],
         temperature: Option<f64>,
         rng: &mut R,
-        cache: &mut SweepCache,
     ) -> usize {
         match (self, temperature) {
-            (Kernel::Memoized, Some(t)) => gibbs_sweep_cached(model, state, t, rng, cache),
-            (Kernel::Memoized, None) => icm_sweep_cached(model, state, cache),
-            (Kernel::Naive, Some(t)) => gibbs_sweep(model, state, t, rng),
-            (Kernel::Naive, None) => icm_sweep(model, state),
+            (RowFill::Hoisted, Some(t)) => gibbs_sweep(model, state, t, rng),
+            (RowFill::Hoisted, None) => icm_sweep(model, state),
+            (RowFill::PerCandidate, Some(t)) => gibbs_sweep(&PerCandidate(model), state, t, rng),
+            (RowFill::PerCandidate, None) => icm_sweep(&PerCandidate(model), state),
         }
+    }
+}
+
+/// A chain that forwards everything but `fill_row`, so its rows come from
+/// the trait's per-candidate default.
+struct PerCandidate<'m, M>(&'m M);
+
+impl<M: ConditionalModel> ConditionalModel for PerCandidate<'_, M> {
+    fn num_sites(&self) -> usize {
+        self.0.num_sites()
+    }
+
+    fn num_candidates(&self, site: usize) -> usize {
+        self.0.num_candidates(site)
+    }
+
+    fn local_log_potential(&self, site: usize, candidate: usize, state: &[usize]) -> f64 {
+        self.0.local_log_potential(site, candidate, state)
     }
 }
 
@@ -189,25 +198,23 @@ impl<'a> C2mn<'a> {
     /// the allocation strategy differs. Batch workloads keep one
     /// [`DecodeScratch`] per worker and reuse it across sequences.
     ///
-    /// This is the memoized decode path: both chains sample through a
-    /// [`SweepCache`] that refills a site's candidate row only when the
-    /// site's Markov blanket changed, and a region half-sweep dirties the
-    /// affected event rows (and vice versa) via the snapshot-diff helpers
-    /// in the crate's `network` module. [`C2mn::label_with_naive`] runs the
-    /// same decode loop with the naive sweeps, and its labels are
-    /// byte-identical.
+    /// Every sweep fills the candidate row of every multi-candidate site
+    /// through the chains' run-indexed [`ConditionalModel::fill_row`].
+    /// [`C2mn::label_with_naive`] runs the same decode loop with rows
+    /// filled one candidate at a time, and its labels are byte-identical.
     pub fn label_with<R: Rng + ?Sized>(
         &self,
         records: &[PositioningRecord],
         rng: &mut R,
         scratch: &mut DecodeScratch,
     ) -> Vec<(RegionId, MobilityEvent)> {
-        self.decode(records, rng, scratch, Kernel::Memoized)
+        self.decode(records, rng, scratch, RowFill::Hoisted)
     }
 
-    /// [`C2mn::label_with`]'s decode loop with the naive sweeps, kept
-    /// compiled as the reference oracle: every sweep recomputes every
-    /// `(site, candidate)` local log-potential from scratch.
+    /// [`C2mn::label_with`]'s decode loop with per-candidate rows, kept
+    /// compiled as the reference oracle: every row is filled by one
+    /// `local_log_potential` call per candidate instead of the chains'
+    /// run-indexed `fill_row`. That is the only difference.
     ///
     /// [`C2mn::label_with`] must produce byte-identical labels for the
     /// same RNG state; the `kernel_oracle` integration suite compares the
@@ -218,19 +225,19 @@ impl<'a> C2mn<'a> {
         rng: &mut R,
         scratch: &mut DecodeScratch,
     ) -> Vec<(RegionId, MobilityEvent)> {
-        self.decode(records, rng, scratch, Kernel::Naive)
+        self.decode(records, rng, scratch, RowFill::PerCandidate)
     }
 
     /// The shared decode loop: nearest-region / ST-DBSCAN initialisation,
     /// then joint sweeps (a region half-sweep, then an event half-sweep),
-    /// first annealed Gibbs and then ICM. Only `kernel` tells the two
-    /// public decode paths apart.
+    /// first annealed Gibbs and then ICM. Only `fill` tells the two public
+    /// decode paths apart.
     fn decode<R: Rng + ?Sized>(
         &self,
         records: &[PositioningRecord],
         rng: &mut R,
         scratch: &mut DecodeScratch,
-        kernel: Kernel,
+        fill: RowFill,
     ) -> Vec<(RegionId, MobilityEvent)> {
         if records.is_empty() {
             return Vec::new();
@@ -238,24 +245,14 @@ impl<'a> C2mn<'a> {
         let ctx = SequenceContext::build(self.space, &self.config, records, &self.region_freq);
         let net = CoupledNetwork::new(&ctx, &self.weights);
         let n = ctx.len();
-        let memoized = kernel == Kernel::Memoized;
-        // Region flips reach event rows (and vice versa) only through the
-        // segmentation features; without them the chains share no cliques
-        // and the snapshot-diff pass is skipped. The naive sweeps read no
-        // cache, so they skip it too.
-        let cross_invalidate = memoized && self.config.structure.is_coupled();
 
         let DecodeScratch {
             region_state,
             event_state,
             regions,
             events,
-            region_cache,
-            event_cache,
             event_runs,
             region_runs,
-            prev_regions,
-            prev_events,
         } = scratch;
         region_state.clear();
         region_state.extend_from_slice(&ctx.nearest_idx);
@@ -270,10 +267,6 @@ impl<'a> C2mn<'a> {
         );
         events.clear();
         events.extend_from_slice(&ctx.dbscan_events);
-        if memoized {
-            region_cache.reset(&RegionSites::new(&net, events, event_runs));
-            event_cache.reset(&EventSites::new(&net, regions, region_runs));
-        }
 
         // Annealed coupled Gibbs, cooling geometrically from `t_start` on
         // the first sweep to exactly `t_end` on the last; then ICM polish
@@ -286,47 +279,19 @@ impl<'a> C2mn<'a> {
         };
         for k in 0..schedule.sweeps + 2 * n + 4 {
             let temperature = (k < schedule.sweeps).then(|| schedule.temperature(k));
-            if cross_invalidate {
-                prev_regions.clear();
-                prev_regions.extend_from_slice(regions);
-            }
             let rs = RegionSites::new(&net, events, event_runs);
-            let changed_r = kernel.sweep(&rs, region_state, temperature, rng, region_cache);
+            let changed_r = fill.sweep(&rs, region_state, temperature, rng);
             for i in 0..n {
                 regions[i] = ctx.candidates[i][region_state[i]];
             }
-            if cross_invalidate {
-                invalidate_events_after_region_sweep(
-                    &ctx,
-                    prev_regions,
-                    regions,
-                    events,
-                    event_cache,
-                );
-                prev_events.clear();
-                prev_events.extend_from_slice(events);
-            }
             let es = EventSites::new(&net, regions, region_runs);
-            let changed_e = kernel.sweep(&es, event_state, temperature, rng, event_cache);
+            let changed_e = fill.sweep(&es, event_state, temperature, rng);
             for i in 0..n {
                 events[i] = MobilityEvent::ALL[event_state[i]];
-            }
-            if cross_invalidate {
-                invalidate_regions_after_event_sweep(
-                    &ctx,
-                    prev_events,
-                    events,
-                    regions,
-                    region_cache,
-                );
             }
             if temperature.is_none() && changed_r == 0 && changed_e == 0 {
                 break;
             }
-        }
-        if memoized {
-            region_cache.flush_stats();
-            event_cache.flush_stats();
         }
 
         regions

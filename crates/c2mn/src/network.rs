@@ -10,7 +10,7 @@ use crate::structure::idx;
 use crate::{SequenceContext, Weights, NUM_FEATURES};
 use ism_indoor::RegionId;
 use ism_mobility::MobilityEvent;
-use ism_pgm::{ConditionalModel, SweepCache};
+use ism_pgm::ConditionalModel;
 
 /// A C2MN instantiated over one positioning sequence.
 pub struct CoupledNetwork<'c> {
@@ -109,90 +109,15 @@ impl<'c> CoupledNetwork<'c> {
         energy
     }
 
-    /// Local feature vector of assigning `cand` to region site `i`: the sum
-    /// of the features of every clique containing `r_i`, with all other
-    /// sites read through the accessors.
-    pub fn region_local_features<R, E>(
-        &self,
-        i: usize,
-        cand: RegionId,
-        region_at: R,
-        event_at: E,
-        out: &mut [f64; NUM_FEATURES],
-    ) where
-        R: Fn(usize) -> RegionId,
-        E: Fn(usize) -> MobilityEvent,
-    {
-        let ctx = self.ctx;
-        let s = &ctx.config.structure;
-        let n = ctx.len();
-        out.fill(0.0);
-        let eff = |k: usize| if k == i { cand } else { region_at(k) };
-
-        out[idx::SM] = self.fsm_value(i, cand);
-        if s.transitions {
-            if i > 0 {
-                out[idx::ST] += ctx.fst(i - 1, region_at(i - 1), cand);
-            }
-            if i + 1 < n {
-                out[idx::ST] += ctx.fst(i, cand, region_at(i + 1));
-            }
-        }
-        if s.synchronizations {
-            if i > 0 {
-                out[idx::SC] += ctx.fsc(i - 1, region_at(i - 1), cand);
-            }
-            if i + 1 < n {
-                out[idx::SC] += ctx.fsc(i, cand, region_at(i + 1));
-            }
-        }
-        if s.event_segmentation {
-            // The event run containing i is unaffected by region labels;
-            // only its fes features change through DISTNUM.
-            let (a, b) = self.run_around(i, |k, j| event_at(k) == event_at(j));
-            let f = ctx.fes(a, b, event_at(i), eff);
-            out[idx::ES..idx::ES + 3].copy_from_slice(&f);
-        }
-        if s.space_segmentation {
-            // Changing r_i can split or merge region runs: recompute fss
-            // over the window spanned by the runs of i−1 and i+1 (their
-            // outer boundaries cannot move).
-            let lo = if i == 0 {
-                0
-            } else {
-                self.run_around(i - 1, |k, j| region_at(k) == region_at(j))
-                    .0
-            };
-            let hi = if i + 1 >= n {
-                n - 1
-            } else {
-                self.run_around(i + 1, |k, j| region_at(k) == region_at(j))
-                    .1
-            };
-            let mut a = lo;
-            while a <= hi {
-                let mut b = a;
-                while b < hi && eff(b + 1) == eff(a) {
-                    b += 1;
-                }
-                let f = ctx.fss(a, b, &event_at);
-                for k in 0..3 {
-                    out[idx::SS + k] += f[k];
-                }
-                a = b + 1;
-            }
-        }
-    }
-
-    /// [`region_local_features`](Self::region_local_features) addressed by
-    /// dense *candidate indices*: `cand_idx` indexes
-    /// `ctx.candidates[i]` and `r_state[k]` indexes `ctx.candidates[k]`.
+    /// Local feature vector of assigning candidate `cand_idx` to region
+    /// site `i`: the sum of the features of every clique containing `r_i`.
+    /// Region labels are addressed by dense *candidate indices*:
+    /// `cand_idx` indexes `ctx.candidates[i]` and `r_state[k]` indexes
+    /// `ctx.candidates[k]`; event labels are read through `event_at`.
     ///
     /// The pairwise terms read the precomputed `fst`/`fsc` arenas instead
-    /// of recomputing `region_expected_miwd` per call; every arena entry
-    /// was produced by the same expression, so the result is bitwise
-    /// identical to the `RegionId` path (the test below pins this).
-    pub fn region_local_features_indexed<E>(
+    /// of recomputing `region_expected_miwd` per call.
+    pub fn region_local_features<E>(
         &self,
         i: usize,
         cand_idx: usize,
@@ -494,7 +419,7 @@ impl ConditionalModel for RegionSites<'_> {
     fn local_log_potential(&self, site: usize, candidate: usize, state: &[usize]) -> f64 {
         let mut f = [0.0; NUM_FEATURES];
         self.net
-            .region_local_features_indexed(site, candidate, state, |k| self.events[k], &mut f);
+            .region_local_features(site, candidate, state, |k| self.events[k], &mut f);
         self.net.weights.dot(&f)
     }
 
@@ -619,103 +544,6 @@ impl ConditionalModel for RegionSites<'_> {
             }
             *slot = net.weights.dot(&f);
         }
-    }
-
-    /// Markov blanket of region site `site` under the fixed event chain,
-    /// for the accepted flip `prev_candidate → state[site]`.
-    ///
-    /// Every feature reading `r_site` touches a contiguous window around
-    /// `site`, so the blanket is the hull of the per-feature windows:
-    ///
-    /// * transitions / synchronizations — the chain neighbours `site ± 1`;
-    /// * event segmentation — region labels enter `fes` only through the
-    ///   *distinct-label count* of the (fixed) event run containing
-    ///   `site`. If the old and the new label each still occur at some
-    ///   other site of that run, every other row's distinct set is
-    ///   provably unchanged (the multiset swaps one `old` for one `new`,
-    ///   both already present), except the exact margin cases: when the
-    ///   old (new) label survives at only *one* other site `j`, row `j`'s
-    ///   own substitution `j → c` can remove that last copy, so `j` alone
-    ///   is dirtied. When either label does not occur elsewhere in the
-    ///   run, the distinct count genuinely changes for every row in it —
-    ///   fall back to the whole run;
-    /// * space segmentation — a row `j` re-segments the window spanned by
-    ///   the region runs around `j − 1` / `j + 1`; that window (and the
-    ///   run scans feeding it) can reach `site` only from within
-    ///   `[A − 1, B + 1]`, where `A`/`B` are the outer ends of the runs
-    ///   containing `site − 1` / `site + 1`. Neither run reads the label
-    ///   at `site`, so the bound is stable across the flip itself.
-    fn dependents(
-        &self,
-        site: usize,
-        prev_candidate: usize,
-        state: &[usize],
-    ) -> impl Iterator<Item = usize> {
-        let ctx = self.net.ctx;
-        let s = &ctx.config.structure;
-        let n = ctx.len();
-        let region = |k: usize| ctx.candidates[k][state[k]];
-        let mut lo = site;
-        let mut hi = site;
-        let mut margins = [None::<usize>; 2];
-        if s.transitions || s.synchronizations {
-            lo = lo.min(site.saturating_sub(1));
-            hi = hi.max((site + 1).min(n - 1));
-        }
-        if s.event_segmentation {
-            let (a, b) = self.runs.run(site);
-            let old_r = ctx.candidates[site][prev_candidate];
-            let new_r = region(site);
-            let (mut cnt_old, mut pos_old) = (0usize, 0usize);
-            let (mut cnt_new, mut pos_new) = (0usize, 0usize);
-            for k in a..=b {
-                if k == site {
-                    continue;
-                }
-                let r = region(k);
-                if r == old_r {
-                    cnt_old += 1;
-                    pos_old = k;
-                }
-                if r == new_r {
-                    cnt_new += 1;
-                    pos_new = k;
-                }
-            }
-            if cnt_old >= 1 && cnt_new >= 1 {
-                if cnt_old == 1 {
-                    margins[0] = Some(pos_old);
-                }
-                if cnt_new == 1 {
-                    margins[1] = Some(pos_new);
-                }
-            } else {
-                lo = lo.min(a);
-                hi = hi.max(b);
-            }
-        }
-        if s.space_segmentation {
-            if site > 0 {
-                let mut a = site - 1;
-                while a > 0 && region(a - 1) == region(site - 1) {
-                    a -= 1;
-                }
-                lo = lo.min(a.saturating_sub(1));
-            }
-            if site + 1 < n {
-                let mut b = site + 1;
-                while b + 1 < n && region(b + 1) == region(site + 1) {
-                    b += 1;
-                }
-                hi = hi.max((b + 1).min(n - 1));
-            }
-        }
-        (lo..=hi).filter(move |&j| j != site).chain(
-            margins
-                .into_iter()
-                .flatten()
-                .filter(move |&j| j < lo || j > hi),
-        )
     }
 }
 
@@ -897,231 +725,6 @@ impl ConditionalModel for EventSites<'_> {
             *slot = net.weights.dot(&f);
         }
     }
-
-    /// Markov blanket of event site `site` under the fixed region chain —
-    /// the mirror image of [`RegionSites::dependents`]: chain neighbours
-    /// from transitions / synchronizations, the `[A − 1, B + 1]` hull of
-    /// the event runs around `site ∓ 1` for event segmentation (the
-    /// self-segmented chain), and the exact (fixed) region run containing
-    /// `site` for space segmentation.
-    fn dependents(
-        &self,
-        site: usize,
-        _prev_candidate: usize,
-        state: &[usize],
-    ) -> impl Iterator<Item = usize> {
-        let ctx = self.net.ctx;
-        let s = &ctx.config.structure;
-        let n = ctx.len();
-        let mut lo = site;
-        let mut hi = site;
-        if s.transitions || s.synchronizations {
-            lo = lo.min(site.saturating_sub(1));
-            hi = hi.max((site + 1).min(n - 1));
-        }
-        if s.event_segmentation {
-            if site > 0 {
-                let mut a = site - 1;
-                while a > 0 && state[a - 1] == state[site - 1] {
-                    a -= 1;
-                }
-                lo = lo.min(a.saturating_sub(1));
-            }
-            if site + 1 < n {
-                let mut b = site + 1;
-                while b + 1 < n && state[b + 1] == state[site + 1] {
-                    b += 1;
-                }
-                hi = hi.max((b + 1).min(n - 1));
-            }
-        }
-        if s.space_segmentation {
-            let (a, b) = self.runs.run(site);
-            lo = lo.min(a);
-            hi = hi.max(b);
-        }
-        (lo..=hi).filter(move |&j| j != site)
-    }
-}
-
-/// Dirties the *event* cache rows whose potentials may have changed after a
-/// region half-sweep moved `old_regions` to `new_regions`.
-///
-/// Event rows read region labels only through the segmentation features:
-///
-/// * event segmentation — row `j` reads region `i` (via `fes`'s DISTNUM)
-///   iff `i` falls in one of `j`'s event segments, which are the event
-///   runs of the (unchanged) event chain with at most one split or merge
-///   at `j` itself. Region labels enter only through each segment's
-///   distinct-label count, so a flip `A → B` at `i` leaves a segment's
-///   count unchanged whenever both `A` and `B` occur at some *stable*
-///   site (same label in the old and new snapshot — robust when one
-///   sweep flips many sites; each flip's own rule covers its labels) of
-///   that segment besides `i`. Concretely, with `R = eventrun(i)`:
-///   when `A` and `B` each have a stable copy somewhere in `R ∖ {i}`,
-///   the full-run segment is safe for every row and only rows `j` whose
-///   *split* segment (`[start(R), j − 1]` or `[j + 1, end(R)]`) has not
-///   yet met a stable copy of both labels are dirtied — a short prefix
-///   scan outward from `i` on each side. When either label has no stable
-///   copy in `R`, the count genuinely changes and the old hull
-///   `R ± 1` is dirtied;
-/// * space segmentation — row `j`'s `fss` segment is the region run
-///   containing `j`; runs can only change inside the hull of the *old*
-///   runs around each flipped site (a merge or split crosses a flipped
-///   site, and the old-snapshot span of every flipped site covers its
-///   side of the join), so dirtying `[A_old − 1, B_old + 1]` per flipped
-///   site covers every membership or scan change even when one sweep
-///   flips many sites.
-pub fn invalidate_events_after_region_sweep(
-    ctx: &SequenceContext<'_>,
-    old_regions: &[RegionId],
-    new_regions: &[RegionId],
-    events: &[MobilityEvent],
-    cache: &mut SweepCache,
-) {
-    let s = &ctx.config.structure;
-    if !s.is_coupled() {
-        return;
-    }
-    let n = ctx.len();
-    for i in 0..n {
-        if old_regions[i] == new_regions[i] {
-            continue;
-        }
-        let mut lo = i;
-        let mut hi = i;
-        if s.event_segmentation {
-            let mut a = i;
-            while a > 0 && events[a - 1] == events[i] {
-                a -= 1;
-            }
-            let mut b = i;
-            while b + 1 < n && events[b + 1] == events[i] {
-                b += 1;
-            }
-            let la = old_regions[i];
-            let lb = new_regions[i];
-            let stable = |k: usize, l: RegionId| old_regions[k] == l && new_regions[k] == l;
-            let mut cnt_a = 0usize;
-            let mut cnt_b = 0usize;
-            for k in a..=b {
-                if k == i {
-                    continue;
-                }
-                if stable(k, la) {
-                    cnt_a += 1;
-                }
-                if stable(k, lb) {
-                    cnt_b += 1;
-                }
-            }
-            if cnt_a == 0 || cnt_b == 0 {
-                lo = lo.min(a.saturating_sub(1));
-                hi = hi.max((b + 1).min(n - 1));
-            } else {
-                // Split segments: walk outward from `i` until a stable
-                // copy of both labels has entered the prefix; rows before
-                // that point can lose one side's only copy to the split.
-                let mut pa = (a..i).any(|k| stable(k, la));
-                let mut pb = (a..i).any(|k| stable(k, lb));
-                for j in i + 1..=b {
-                    if pa && pb {
-                        break;
-                    }
-                    cache.invalidate(j);
-                    pa |= stable(j, la);
-                    pb |= stable(j, lb);
-                }
-                let mut pa = (i + 1..=b).any(|k| stable(k, la));
-                let mut pb = (i + 1..=b).any(|k| stable(k, lb));
-                for j in (a..i).rev() {
-                    if pa && pb {
-                        break;
-                    }
-                    cache.invalidate(j);
-                    pa |= stable(j, la);
-                    pb |= stable(j, lb);
-                }
-            }
-        }
-        if s.space_segmentation {
-            if i > 0 {
-                let mut a = i - 1;
-                while a > 0 && old_regions[a - 1] == old_regions[i - 1] {
-                    a -= 1;
-                }
-                lo = lo.min(a.saturating_sub(1));
-            }
-            if i + 1 < n {
-                let mut b = i + 1;
-                while b + 1 < n && old_regions[b + 1] == old_regions[i + 1] {
-                    b += 1;
-                }
-                hi = hi.max((b + 1).min(n - 1));
-            }
-        }
-        for j in lo..=hi {
-            cache.invalidate(j);
-        }
-    }
-}
-
-/// Dirties the *region* cache rows affected by an event half-sweep moving
-/// `old_events` to `new_events` — the mirror image of
-/// [`invalidate_events_after_region_sweep`]: the old-event-run hull
-/// `[A_old − 1, B_old + 1]` per flipped site for event segmentation, and
-/// `regionrun(i) ± 1` under the (unchanged) region chain for space
-/// segmentation.
-pub fn invalidate_regions_after_event_sweep(
-    ctx: &SequenceContext<'_>,
-    old_events: &[MobilityEvent],
-    new_events: &[MobilityEvent],
-    regions: &[RegionId],
-    cache: &mut SweepCache,
-) {
-    let s = &ctx.config.structure;
-    if !s.is_coupled() {
-        return;
-    }
-    let n = ctx.len();
-    for i in 0..n {
-        if old_events[i] == new_events[i] {
-            continue;
-        }
-        let mut lo = i;
-        let mut hi = i;
-        if s.event_segmentation {
-            if i > 0 {
-                let mut a = i - 1;
-                while a > 0 && old_events[a - 1] == old_events[i - 1] {
-                    a -= 1;
-                }
-                lo = lo.min(a.saturating_sub(1));
-            }
-            if i + 1 < n {
-                let mut b = i + 1;
-                while b + 1 < n && old_events[b + 1] == old_events[i + 1] {
-                    b += 1;
-                }
-                hi = hi.max((b + 1).min(n - 1));
-            }
-        }
-        if s.space_segmentation {
-            let mut a = i;
-            while a > 0 && regions[a - 1] == regions[i] {
-                a -= 1;
-            }
-            let mut b = i;
-            while b + 1 < n && regions[b + 1] == regions[i] {
-                b += 1;
-            }
-            lo = lo.min(a.saturating_sub(1));
-            hi = hi.max((b + 1).min(n - 1));
-        }
-        for j in lo..=hi {
-            cache.invalidate(j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1175,9 +778,15 @@ mod tests {
             let net = CoupledNetwork::new(&ctx, &weights);
             let mut rng = StdRng::seed_from_u64(7);
 
-            // Random initial labelling from candidates.
-            let mut regions: Vec<RegionId> = (0..ctx.len())
-                .map(|i| ctx.candidates[i][rng.random_range(0..ctx.candidates[i].len())])
+            // Random initial labelling from candidates, as candidate
+            // indices and as the regions they name.
+            let r_state: Vec<usize> = (0..ctx.len())
+                .map(|i| rng.random_range(0..ctx.candidates[i].len()))
+                .collect();
+            let mut regions: Vec<RegionId> = r_state
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| ctx.candidates[i][c])
                 .collect();
             let mut events: Vec<MobilityEvent> = (0..ctx.len())
                 .map(|_| MobilityEvent::ALL[rng.random_range(0..MobilityEvent::ALL.len())])
@@ -1187,11 +796,12 @@ mod tests {
                 let i = rng.random_range(0..ctx.len());
                 // --- Region flip -------------------------------------
                 let old_r = regions[i];
-                let new_r = ctx.candidates[i][rng.random_range(0..ctx.candidates[i].len())];
+                let new_c = rng.random_range(0..ctx.candidates[i].len());
+                let new_r = ctx.candidates[i][new_c];
                 let mut f_old = [0.0; NUM_FEATURES];
                 let mut f_new = [0.0; NUM_FEATURES];
-                net.region_local_features(i, old_r, |k| regions[k], |k| events[k], &mut f_old);
-                net.region_local_features(i, new_r, |k| regions[k], |k| events[k], &mut f_new);
+                net.region_local_features(i, r_state[i], &r_state, |k| events[k], &mut f_old);
+                net.region_local_features(i, new_c, &r_state, |k| events[k], &mut f_new);
                 let local_delta = weights.dot(&f_new) - weights.dot(&f_old);
                 let e_old = net.total_energy(&regions, &events);
                 regions[i] = new_r;
@@ -1220,64 +830,6 @@ mod tests {
                     local_delta
                 );
                 events[i] = old_e;
-            }
-        }
-    }
-
-    /// The indexed fast path (candidate indices + precomputed pairwise
-    /// arenas) must be *bitwise* equal to the `RegionId` path — it backs
-    /// the byte-identical contract of the memoized kernel.
-    #[test]
-    fn indexed_features_are_bitwise_equal_to_region_id_path() {
-        let (space, base) = setup();
-        for structure in [
-            crate::ModelStructure::full(),
-            crate::ModelStructure::cmn(),
-            crate::ModelStructure::no_transitions(),
-            crate::ModelStructure::no_synchronizations(),
-            crate::ModelStructure::no_event_segmentation(),
-            crate::ModelStructure::no_space_segmentation(),
-        ] {
-            let config = base.clone().with_structure(structure);
-            let recs = random_walk(&space, 12, 17);
-            let ctx = SequenceContext::build(&space, &config, &recs, &[]);
-            let weights = Weights::uniform(0.9);
-            let net = CoupledNetwork::new(&ctx, &weights);
-            let mut rng = StdRng::seed_from_u64(23);
-            for _trial in 0..20 {
-                let r_state: Vec<usize> = (0..ctx.len())
-                    .map(|i| rng.random_range(0..ctx.candidates[i].len()))
-                    .collect();
-                let events: Vec<MobilityEvent> = (0..ctx.len())
-                    .map(|_| MobilityEvent::ALL[rng.random_range(0..MobilityEvent::ALL.len())])
-                    .collect();
-                for i in 0..ctx.len() {
-                    for c in 0..ctx.candidates[i].len() {
-                        let mut by_id = [0.0; NUM_FEATURES];
-                        let mut by_idx = [0.0; NUM_FEATURES];
-                        net.region_local_features(
-                            i,
-                            ctx.candidates[i][c],
-                            |k| ctx.candidates[k][r_state[k]],
-                            |k| events[k],
-                            &mut by_id,
-                        );
-                        net.region_local_features_indexed(
-                            i,
-                            c,
-                            &r_state,
-                            |k| events[k],
-                            &mut by_idx,
-                        );
-                        for k in 0..NUM_FEATURES {
-                            assert_eq!(
-                                by_id[k].to_bits(),
-                                by_idx[k].to_bits(),
-                                "feature {k} differs at site {i} cand {c} ({structure:?})"
-                            );
-                        }
-                    }
-                }
             }
         }
     }

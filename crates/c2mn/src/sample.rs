@@ -152,10 +152,9 @@ pub(crate) fn sample_sequence(
         feats.resize(num_cand, [0.0; NUM_FEATURES]);
         for (c, f) in feats.iter_mut().enumerate() {
             if sample_regions {
-                // Indexed path: reads the precomputed pairwise tables and
-                // the blanket at `truth_r_idx`, bitwise identical to the
-                // `RegionId` path over `truth_regions`.
-                net.region_local_features_indexed(i, c, &prep.truth_r_idx, |k| events_cfg[k], f);
+                // Reads the precomputed pairwise tables and the blanket
+                // at `truth_r_idx`.
+                net.region_local_features(i, c, &prep.truth_r_idx, |k| events_cfg[k], f);
             } else {
                 net.event_local_features(
                     i,

@@ -1,33 +1,25 @@
-//! Dual-kernel oracle + blanket-soundness property suite for the memoized
-//! Gibbs kernel.
+//! Dual-kernel oracle suite for the decode's row fills.
 //!
-//! The naive sweep (recompute every `(site, candidate)` row every sweep)
-//! stays compiled as [`C2mn::label_with_naive`] and serves as the oracle:
+//! [`C2mn::label_with_naive`] runs the same decode loop as
+//! [`C2mn::label_with`], but fills every row one `local_log_potential`
+//! call per candidate instead of through the chains' run-indexed
+//! `fill_row`, and serves as the oracle:
 //!
-//! * the cached decode path must be **byte-identical** to it for every
+//! * the fast decode path must be **byte-identical** to it for every
 //!   model structure, random space/workload, and thread count {1, 2, 4};
-//! * own-chain Markov blankets must be sound: flipping a site outside
-//!   `dependents(s)` never changes `local_log_potential(s, ·)` — bitwise;
-//! * cross-chain invalidation must be sound: after a simulated half-sweep,
-//!   every row the snapshot-diff helpers leave *clean* must be bitwise
-//!   unchanged by the other chain's flips;
 //! * the run-indexed row fills (`fill_row`) must equal the per-candidate
 //!   potentials bitwise, on random states and on the run layouts their
 //!   window logic special-cases.
-//!
-//! Under-approximated blankets would silently corrupt sampling (stale rows
-//! reused as if current); these tests are the tripwire.
 
 use ism_c2mn::{
-    invalidate_events_after_region_sweep, invalidate_regions_after_event_sweep, sequence_seed,
-    BatchAnnotator, C2mn, C2mnConfig, CoupledNetwork, DecodeScratch, EventSites, ModelStructure,
-    RegionSites, RunIndex, SequenceContext, Weights,
+    sequence_seed, BatchAnnotator, C2mn, C2mnConfig, CoupledNetwork, DecodeScratch, EventSites,
+    ModelStructure, RegionSites, RunIndex, SequenceContext, Weights,
 };
 use ism_indoor::{BuildingGenerator, IndoorSpace, RegionId};
 use ism_mobility::{
     Dataset, MobilityEvent, PositioningConfig, PositioningRecord, SimulationConfig,
 };
-use ism_pgm::{ConditionalModel, SweepCache};
+use ism_pgm::ConditionalModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -153,204 +145,6 @@ fn batch_decode_matches_naive_sequential_reference_across_threads() {
     for threads in [1, 2, 4] {
         let batch = BatchAnnotator::new(&model, threads, base_seed).label_batch(&seqs);
         assert_eq!(batch, reference, "threads {threads}");
-    }
-}
-
-/// Random joint states for one context.
-fn random_states(
-    ctx: &SequenceContext<'_>,
-    rng: &mut StdRng,
-) -> (Vec<usize>, Vec<RegionId>, Vec<usize>, Vec<MobilityEvent>) {
-    let r_state: Vec<usize> = (0..ctx.len())
-        .map(|k| rng.random_range(0..ctx.candidates[k].len()))
-        .collect();
-    let regions: Vec<RegionId> = r_state
-        .iter()
-        .enumerate()
-        .map(|(k, &c)| ctx.candidates[k][c])
-        .collect();
-    let e_state: Vec<usize> = (0..ctx.len())
-        .map(|_| rng.random_range(0..MobilityEvent::ALL.len()))
-        .collect();
-    let events: Vec<MobilityEvent> = e_state.iter().map(|&c| MobilityEvent::ALL[c]).collect();
-    (r_state, regions, e_state, events)
-}
-
-#[test]
-fn own_chain_blankets_are_sound() {
-    for (si, structure) in STRUCTURES.iter().enumerate() {
-        let (space, seqs) = workload(70 + si as u64, 2);
-        let config = C2mnConfig::quick_test().with_structure(structure());
-        let records = &seqs[0];
-        let ctx = SequenceContext::build(&space, &config, records, &[]);
-        let weights = Weights::uniform(0.8);
-        let net = CoupledNetwork::new(&ctx, &weights);
-        let n = ctx.len();
-        let mut rng = StdRng::seed_from_u64(500 + si as u64);
-        for _trial in 0..30 {
-            let (mut r_state, _regions, mut e_state, events) = random_states(&ctx, &mut rng);
-            let regions: Vec<RegionId> = r_state
-                .iter()
-                .enumerate()
-                .map(|(k, &c)| ctx.candidates[k][c])
-                .collect();
-
-            // --- region chain: flip r_i, rows outside dependents(i) keep
-            // their exact bits.
-            let i = rng.random_range(0..n);
-            if ctx.candidates[i].len() > 1 {
-                let mut runs = RunIndex::new();
-                let rs = RegionSites::new(&net, &events, &mut runs);
-                let before: Vec<Vec<u64>> = (0..n)
-                    .map(|j| {
-                        (0..ctx.candidates[j].len())
-                            .map(|c| rs.local_log_potential(j, c, &r_state).to_bits())
-                            .collect()
-                    })
-                    .collect();
-                let old = r_state[i];
-                let mut new = rng.random_range(0..ctx.candidates[i].len());
-                if new == old {
-                    new = (new + 1) % ctx.candidates[i].len();
-                }
-                r_state[i] = new;
-                // The kernel marks dependents at the post-flip state.
-                let deps: Vec<usize> = rs.dependents(i, old, &r_state).collect();
-                for (j, row) in before.iter().enumerate() {
-                    if j == i || deps.contains(&j) {
-                        continue;
-                    }
-                    for (c, &bits) in row.iter().enumerate() {
-                        assert_eq!(
-                            bits,
-                            rs.local_log_potential(j, c, &r_state).to_bits(),
-                            "region row {j} cand {c} changed outside blanket of {i} ({si})"
-                        );
-                    }
-                }
-                r_state[i] = old;
-            }
-
-            // --- event chain: flip e_i, same check.
-            let i = rng.random_range(0..n);
-            {
-                let mut runs = RunIndex::new();
-                let es = EventSites::new(&net, &regions, &mut runs);
-                let before: Vec<Vec<u64>> = (0..n)
-                    .map(|j| {
-                        (0..MobilityEvent::ALL.len())
-                            .map(|c| es.local_log_potential(j, c, &e_state).to_bits())
-                            .collect()
-                    })
-                    .collect();
-                let old = e_state[i];
-                e_state[i] = (old + 1) % MobilityEvent::ALL.len();
-                let deps: Vec<usize> = es.dependents(i, old, &e_state).collect();
-                for (j, row) in before.iter().enumerate() {
-                    if j == i || deps.contains(&j) {
-                        continue;
-                    }
-                    for (c, &bits) in row.iter().enumerate() {
-                        assert_eq!(
-                            bits,
-                            es.local_log_potential(j, c, &e_state).to_bits(),
-                            "event row {j} cand {c} changed outside blanket of {i} ({si})"
-                        );
-                    }
-                }
-                e_state[i] = old;
-            }
-        }
-    }
-}
-
-#[test]
-fn cross_chain_invalidation_covers_every_changed_row() {
-    for (si, structure) in STRUCTURES.iter().enumerate() {
-        let (space, seqs) = workload(110 + si as u64, 2);
-        let config = C2mnConfig::quick_test().with_structure(structure());
-        let records = &seqs[0];
-        let ctx = SequenceContext::build(&space, &config, records, &[]);
-        let weights = Weights::uniform(0.7);
-        let net = CoupledNetwork::new(&ctx, &weights);
-        let n = ctx.len();
-        let mut rng = StdRng::seed_from_u64(900 + si as u64);
-        for _trial in 0..20 {
-            let (mut r_state, mut regions, mut e_state, mut events) = random_states(&ctx, &mut rng);
-
-            // --- simulated region half-sweep: a handful of region flips;
-            // every event row left clean must keep its exact bits.
-            let old_regions = regions.clone();
-            for _ in 0..rng.random_range(1..4usize) {
-                let i = rng.random_range(0..n);
-                let c = rng.random_range(0..ctx.candidates[i].len());
-                r_state[i] = c;
-                regions[i] = ctx.candidates[i][c];
-            }
-            {
-                let (mut runs_old, mut runs_new) = (RunIndex::new(), RunIndex::new());
-                let es_old = EventSites::new(&net, &old_regions, &mut runs_old);
-                let es_new = EventSites::new(&net, &regions, &mut runs_new);
-                let mut cache = SweepCache::new();
-                cache.reset(&es_old);
-                cache.fill_all(&es_old, &e_state);
-                invalidate_events_after_region_sweep(
-                    &ctx,
-                    &old_regions,
-                    &regions,
-                    &events,
-                    &mut cache,
-                );
-                for j in 0..n {
-                    if cache.is_dirty(j) {
-                        continue;
-                    }
-                    for c in 0..MobilityEvent::ALL.len() {
-                        assert_eq!(
-                            es_old.local_log_potential(j, c, &e_state).to_bits(),
-                            es_new.local_log_potential(j, c, &e_state).to_bits(),
-                            "event row {j} cand {c} stale after region sweep ({si})"
-                        );
-                    }
-                }
-            }
-
-            // --- simulated event half-sweep: same check on region rows.
-            let old_events = events.clone();
-            for _ in 0..rng.random_range(1..4usize) {
-                let i = rng.random_range(0..n);
-                let c = rng.random_range(0..MobilityEvent::ALL.len());
-                e_state[i] = c;
-                events[i] = MobilityEvent::ALL[c];
-            }
-            {
-                let (mut runs_old, mut runs_new) = (RunIndex::new(), RunIndex::new());
-                let rs_old = RegionSites::new(&net, &old_events, &mut runs_old);
-                let rs_new = RegionSites::new(&net, &events, &mut runs_new);
-                let mut cache = SweepCache::new();
-                cache.reset(&rs_old);
-                cache.fill_all(&rs_old, &r_state);
-                invalidate_regions_after_event_sweep(
-                    &ctx,
-                    &old_events,
-                    &events,
-                    &regions,
-                    &mut cache,
-                );
-                for j in 0..n {
-                    if cache.is_dirty(j) {
-                        continue;
-                    }
-                    for c in 0..ctx.candidates[j].len() {
-                        assert_eq!(
-                            rs_old.local_log_potential(j, c, &r_state).to_bits(),
-                            rs_new.local_log_potential(j, c, &r_state).to_bits(),
-                            "region row {j} cand {c} stale after event sweep ({si})"
-                        );
-                    }
-                }
-            }
-        }
     }
 }
 

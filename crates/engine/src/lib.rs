@@ -354,11 +354,12 @@ impl<'a> SemanticsEngine<'a> {
         self.pool.stats()
     }
 
-    /// A snapshot of the process-wide decode-kernel counters — memoized
-    /// candidate rows filled vs reused, cross-chain invalidations, and
-    /// bytes cumulatively allocated to precomputed pairwise feature
-    /// tables. Counters accumulate over every decode in the process
-    /// (batch, streaming, serving, and training), mirroring how
+    /// A snapshot of the process-wide decode-kernel counters — candidate
+    /// rows filled by the sweeps and bytes cumulatively allocated to
+    /// precomputed pairwise feature tables. Every sweep fills every row,
+    /// so `rows_reused` and `invalidations` always read 0. Counters
+    /// accumulate over every decode in the process (batch, streaming,
+    /// serving, and training), mirroring how
     /// [`SemanticsEngine::pool_stats`] accumulates over the pool's
     /// lifetime.
     pub fn kernel_stats(&self) -> KernelStats {
@@ -630,15 +631,18 @@ impl<'a> SemanticsEngine<'a> {
     /// Accepts one pushed sequence from a session: drops its records with
     /// a non-finite x, y or t (one would otherwise poison decoding: NaN
     /// distances break the candidate search and NaN potentials the
-    /// sampler), stamps it into the engine-wide submission queue, then
-    /// either fans the filled queue out synchronously (backpressure — the
-    /// memory bound) or hands buffered sequences to idle workers
-    /// immediately (pipelining — decode overlaps with arrival).
+    /// sampler), stable-sorts the rest by `t` (ST-DBSCAN and
+    /// label-and-merge assume time order), stamps it into the engine-wide
+    /// submission queue, then either fans the filled queue out
+    /// synchronously (backpressure — the memory bound) or hands buffered
+    /// sequences to idle workers immediately (pipelining — decode
+    /// overlaps with arrival).
     pub(crate) fn submit(&self, object_id: u64, mut records: Vec<PositioningRecord>) {
         let pushed = records.len();
         records.retain(|r| {
             r.location.xy.x.is_finite() && r.location.xy.y.is_finite() && r.t.is_finite()
         });
+        records.sort_by(|a, b| a.t.total_cmp(&b.t));
         let full = {
             let mut state = self.state();
             state.records_dropped += (pushed - records.len()) as u64;
@@ -1346,6 +1350,51 @@ mod tests {
                 .model()
                 .annotate_with(records, &mut rng, &mut scratch);
             assert_eq!(engine.semantics_of(g as u64), Some(want), "object {g}");
+        }
+    }
+
+    #[test]
+    fn out_of_order_records_are_sorted_at_submission() {
+        let (space, dataset) = setup();
+        let sorted: Vec<Vec<PositioningRecord>> = dataset
+            .sequences
+            .iter()
+            .map(|s| s.positioning().collect())
+            .collect();
+        assert!(sorted
+            .iter()
+            .all(|records| records.windows(2).all(|w| w[0].t < w[1].t)));
+        // One sequence arrives with a pair of records swapped, another
+        // with its timestamps fully reversed.
+        let mut pushed = sorted.clone();
+        let last = pushed[1].len() - 1;
+        pushed[1].swap(2, last - 2);
+        pushed[3].reverse();
+        let engine = EngineBuilder::new()
+            .threads(2)
+            .shards(3)
+            .base_seed(13)
+            .build(model(&space))
+            .unwrap();
+        let mut session = engine.ingest();
+        session.push_batch((0u64..).zip(pushed));
+        session.flush();
+        session.seal();
+
+        // Each object equals a serial annotation of its time-sorted
+        // records with its global-index seed.
+        let mut scratch = DecodeScratch::new();
+        for (g, records) in sorted.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(ism_c2mn::sequence_seed(13, g));
+            let want = engine
+                .model()
+                .annotate_with(records, &mut rng, &mut scratch);
+            let got = engine.semantics_of(g as u64).unwrap();
+            assert!(
+                got.iter().all(|m| m.period.start <= m.period.end),
+                "object {g} sealed a period that ends before it starts"
+            );
+            assert_eq!(got, want, "object {g}");
         }
     }
 

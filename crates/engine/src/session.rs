@@ -61,6 +61,12 @@ impl<'e, 'a> IngestSession<'e, 'a> {
     /// The sequence still takes its global index and seed and decodes
     /// from its remaining records, so one bad record changes neither its
     /// neighbours' results nor any later session's.
+    ///
+    /// The remaining records are then stably sorted by `t`, because
+    /// decoding and label-and-merge assume time order: a sequence whose
+    /// timestamps go backwards is annotated as its time-sorted records
+    /// would be. Sorted input is left unchanged, and records with equal
+    /// `t` keep their pushed order.
     pub fn push(&mut self, object_id: u64, records: Vec<PositioningRecord>) {
         self.engine.submit(object_id, records);
         self.pushed += 1;

@@ -8,12 +8,9 @@
 //! * [`gibbs`] — Markov-blanket samplers over a [`ConditionalModel`]:
 //!   Gibbs sweeps (annealed through an [`AnnealSchedule`]) and iterated
 //!   conditional modes (ICM), the inference workhorses of C2MN's
-//!   alternate learning and joint decoding. The memoized variants
-//!   ([`gibbs_sweep_cached`] / [`icm_sweep_cached`] over a
-//!   [`SweepCache`]) recompute a site's candidate row only when its
-//!   Markov blanket ([`ConditionalModel::dependents`]) changed —
-//!   byte-identical to the naive [`gibbs_sweep`] / [`icm_sweep`], which
-//!   remain compiled as the reference they are pinned against,
+//!   alternate learning and joint decoding. Every sweep fills every
+//!   multi-candidate site's row through [`ConditionalModel::fill_row`],
+//!   and [`kernel_stats`] counts the rows filled,
 //! * [`util`] — numerically stable log-space helpers.
 
 #![deny(missing_docs)]
@@ -24,8 +21,8 @@ pub mod hmm;
 pub mod util;
 
 pub use gibbs::{
-    gibbs_sweep, gibbs_sweep_cached, icm_sweep, icm_sweep_cached, kernel_stats,
-    note_pairwise_table_bytes, AnnealSchedule, ConditionalModel, KernelStats, SweepCache,
+    gibbs_sweep, icm_sweep, kernel_stats, note_pairwise_table_bytes, AnnealSchedule,
+    ConditionalModel, KernelStats,
 };
 pub use hmm::{Hmm, HmmConfig};
-pub use util::{log_sum_exp, sample_from_log_weights};
+pub use util::sample_from_log_weights;

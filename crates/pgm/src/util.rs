@@ -2,18 +2,6 @@
 
 use rand::Rng;
 
-/// Computes `log Σ exp(xᵢ)` without overflow.
-///
-/// Returns `f64::NEG_INFINITY` for an empty slice.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if !m.is_finite() {
-        return m;
-    }
-    let s: f64 = xs.iter().map(|&x| (x - m).exp()).sum();
-    m + s.ln()
-}
-
 /// Samples an index from the categorical distribution proportional to
 /// `exp(log_weights)`.
 ///
@@ -53,26 +41,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn log_sum_exp_matches_naive_for_small_values() {
-        let xs: [f64; 3] = [0.1, -0.5, 1.2];
-        let naive: f64 = xs.iter().map(|x| x.exp()).sum::<f64>().ln();
-        assert!((log_sum_exp(&xs) - naive).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_sum_exp_survives_large_values() {
-        let xs = [1000.0, 1000.0];
-        assert!((log_sum_exp(&xs) - (1000.0 + 2.0f64.ln())).abs() < 1e-9);
-        let xs = [-1000.0, -1000.0];
-        assert!((log_sum_exp(&xs) - (-1000.0 + 2.0f64.ln())).abs() < 1e-9);
-    }
-
-    #[test]
-    fn log_sum_exp_empty_is_neg_inf() {
-        assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-    }
 
     #[test]
     fn sampling_follows_distribution() {

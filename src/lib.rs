@@ -15,8 +15,8 @@
 //! * [`cluster`] — ST-DBSCAN spatio-temporal clustering.
 //! * [`optim`] — L-BFGS with line search.
 //! * [`pgm`] — probabilistic graphical model toolkit (HMM, Gibbs/ICM
-//!   inference with a memoized Markov-blanket sweep cache and
-//!   `KernelStats` observability).
+//!   sweeps over Markov-blanket conditionals that fill every row every
+//!   sweep, and `KernelStats` observability).
 //! * [`runtime`] — deterministic **persistent** worker pool: long-lived
 //!   threads created once, item-ordered `run` / `run_with`, commutative
 //!   `map_reduce`, fire-and-forget `try_spawn` for pipelined ingest, and
